@@ -24,11 +24,13 @@ from .classify import ClassRecord, classify
 from .enumeration import (
     ALL,
     INTERWEAVINGS,
+    LIST_FILTERS,
     EnumConfig,
     Shard,
     enumerate_classes,
     enumerate_sharded,
     load_expected,
+    matches_list_filter,
     verify_table,
 )
 from .formats import (
@@ -39,8 +41,6 @@ from .formats import (
     render_chart,
     render_pbm,
 )
-
-LIST_FILTERS = ("all", "mirror", "rotation")
 
 
 def _parse_shard(text: str) -> Shard:
@@ -54,6 +54,12 @@ def _parse_shard(text: str) -> Shard:
     if shard.total < 1 or not 0 <= shard.index < shard.total:
         raise argparse.ArgumentTypeError(f"invalid shard {text!r}")
     return shard
+
+
+def _parse_jobs(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--jobs",
-            type=int,
+            type=_parse_jobs,
             default=None,
             metavar="J",
             help="split into J shards and run them in J worker processes",
@@ -140,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         "packaged fixture (lines of: order key value)",
     )
     verify.add_argument(
-        "--jobs", type=int, default=None, metavar="J", help="shard each census J ways"
+        "--jobs", type=_parse_jobs, metavar="J", help="shard each census J ways"
     )
     return parser
 
@@ -198,6 +204,7 @@ def _single_config(args, mode: str):
 
 def cmd_count(args) -> int:
     jobs = _parallel_jobs(args)
+    cfg, progress = _single_config(args, args.mode)
     if jobs:
         report, _ = enumerate_sharded(
             args.n,
@@ -207,7 +214,6 @@ def cmd_count(args) -> int:
             limit_override=args.limit_override,
         )
     else:
-        cfg, progress = _single_config(args, args.mode)
         report = enumerate_classes(cfg, progress=progress)
     lines = [f"n: {report.n}", f"q_count: {report.q_count}"]
     if report.b_bar is not None:
@@ -225,6 +231,8 @@ def cmd_count(args) -> int:
 
 def cmd_list(args) -> int:
     jobs = _parallel_jobs(args)
+    # Built first so a bad order is refused before --out is created.
+    cfg, progress = _single_config(args, INTERWEAVINGS)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         if jobs:
@@ -241,15 +249,9 @@ def cmd_list(args) -> int:
         else:
             # Single shard: generation order is lexicographic, so the
             # records stream straight out without buffering.
-            cfg, progress = _single_config(args, INTERWEAVINGS)
-            wanted = args.filter
-
             def sink(rec: ClassRecord):
-                if wanted == "mirror" and not rec.self_mirror:
-                    return
-                if wanted == "rotation" and not rec.rotation_stable:
-                    return
-                out.write(format_tuple(rec.canonical) + "\n")
+                if matches_list_filter(rec, args.filter):
+                    out.write(format_tuple(rec.canonical) + "\n")
 
             enumerate_classes(cfg, sink, progress=progress)
     finally:
@@ -286,7 +288,7 @@ def cmd_render(args) -> int:
 
 def cmd_verify(args) -> int:
     expected = load_expected(args.expected) if args.expected else None
-    shards = args.jobs if args.jobs and args.jobs > 1 else 1
+    shards = args.jobs or 1
     cells = verify_table(args.n_max, expected=expected, shards=shards, jobs=args.jobs)
     failures = 0
     for cell in cells:

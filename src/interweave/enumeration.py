@@ -15,6 +15,11 @@ size is n**2 divided by that count.  This avoids materializing image
 sets for millions of candidates; the set-based :func:`~interweave.classify.orbit`
 remains the reference behaviour and the test suite reconciles the two.
 
+Column rotation, bit reversal and the quarter turn are the word
+kernels of :mod:`interweave.transforms`: the lookup tables are built
+from them and the symmetry pass calls them, so the library and the
+census engine share one implementation of each.
+
 The independent cross-check for the all-classes count is Burnside's
 lemma over the shift group: pair (k, l) acting on the n-by-n index
 torus fixes ``2**c`` matrices, where ``c`` is the number of cycles of
@@ -43,10 +48,13 @@ from typing import Callable, NamedTuple, Optional
 
 from .bitmatrix import BitMatrix
 from .classify import ClassRecord
+from .transforms import reverse_words, rotate90_words, rotate_words
 
 INTERWEAVINGS = "interweavings"
 ALL = "all"
 MODES = (INTERWEAVINGS, ALL)
+
+LIST_FILTERS = ("all", "mirror", "rotation")
 
 MAX_ENUM_ORDER = 8
 # Orders below this run in seconds to minutes; from here on a full
@@ -116,39 +124,6 @@ class CountReport:
     elapsed: float
     shard_total: int = 1
     shard_indices: frozenset = frozenset({0})
-
-
-def _rotation_tables(n: int) -> list[list[int]]:
-    """rotl[l][w] = word w rotated right by l within n bits."""
-    mask = (1 << n) - 1
-    return [
-        [(w >> l | w << (n - l)) & mask for w in range(1 << n)]
-        for l in range(n)
-    ]
-
-
-def _mirror_table(n: int) -> list[int]:
-    """brev[w] = word w with its n bits reversed."""
-    out = []
-    for w in range(1 << n):
-        r = 0
-        for _ in range(n):
-            r = r << 1 | w & 1
-            w >>= 1
-        out.append(r)
-    return out
-
-
-def _rotate90_rows(rows: tuple, n: int) -> tuple:
-    """Row words of the quarter-turn image: entry (i, j) <- (j, n-1-i)."""
-    out = []
-    for i in range(n):
-        word = 0
-        for j in range(n):
-            if rows[j] >> i & 1:
-                word |= 1 << (n - 1 - j)
-        out.append(word)
-    return tuple(out)
 
 
 def _minimality_scan(rows, rotl, n):
@@ -236,57 +211,48 @@ def enumerate_classes(
     """
     n = cfg.n
     top = (1 << n) - 1
-    mask = top
-    if cfg.mode == INTERWEAVINGS:
-        lo, hi = 1, top - 1
-    else:
-        lo, hi = 0, top
     weavable_mode = cfg.mode == INTERWEAVINGS
+    # One-colour rows never code a fabric, so interweavings skip them.
+    lo, hi = (1, top - 1) if weavable_mode else (0, top)
     index, total = cfg.shard
 
-    rotl = _rotation_tables(n)
-    brev = _mirror_table(n)
-    rng = range(n)
+    words = range(1 << n)
+    rotl = [rotate_words(words, l, n) for l in range(n)]
+    brev = reverse_words(words, n)
     nn = n * n
 
     candidates = 0
     b_bar = q_bar = m_bar = r_bar = q_count = 0
     started = time.perf_counter()
 
-    for first in range(lo, hi + 1):
-        if first % total != index:
-            continue
+    # The first row words of this shard are those == index (mod total).
+    for first in range(lo + (index - lo) % total, hi + 1, total):
         for rest in itertools.product(range(first, hi + 1), repeat=n - 1):
             candidates += 1
             rows = (first,) + rest
-            if weavable_mode:
-                ored = anded = first
-                for w in rest:
-                    ored |= w
-                    anded &= w
-                if ored != mask or anded != 0:
-                    continue
+            ored = anded = first
+            for w in rest:
+                ored |= w
+                anded &= w
+            # In all mode the fold also rejects a 0 or all-ones row;
+            # every later row is >= first, so only the first can be 0.
+            weavable = (
+                ored == top
+                and anded == 0
+                and (weavable_mode or first != 0 and top not in rest)
+            )
+            if not weavable and weavable_mode:
+                continue
             stab = _minimality_scan(rows, rotl, n)
             if stab == 0:
                 continue
             orbit_size = nn // stab
-            if weavable_mode:
-                weavable = True
-            else:
-                b_bar += 1
-                ored = anded = first
-                bad = first == 0 or first == top
-                for w in rest:
-                    ored |= w
-                    anded &= w
-                    if w == 0 or w == top:
-                        bad = True
-                weavable = not bad and ored == mask and anded == 0
+            b_bar += 1
             if weavable:
                 q_bar += 1
                 q_count += orbit_size
                 mrows = tuple(brev[w] for w in rows)
-                rrows = _rotate90_rows(rows, n)
+                rrows = rotate90_words(rows, n)
                 mhit, rhit = _symmetry_hits(rows, mrows, rrows, rotl, n)
                 if mhit:
                     m_bar += 1
@@ -377,19 +343,15 @@ def merge_reports(a: CountReport, b: CountReport) -> CountReport:
     )
 
 
-def _collect_sink(records: list, collect: str):
-    """Sink appending canonical row tuples that match a list filter."""
-
-    def sink(rec: ClassRecord):
-        if not rec.is_interweaving:
-            return
-        if collect == "mirror" and not rec.self_mirror:
-            return
-        if collect == "rotation" and not rec.rotation_stable:
-            return
-        records.append(rec.canonical.rows)
-
-    return sink
+def matches_list_filter(rec: ClassRecord, wanted: str) -> bool:
+    """Whether ``rec`` is listed under the list filter ``wanted``, one of
+    :data:`LIST_FILTERS`: every interweaving, or only the self-mirror or
+    rotation-stable ones (both flags are False off interweavings)."""
+    if wanted == "mirror":
+        return rec.self_mirror
+    if wanted == "rotation":
+        return rec.rotation_stable
+    return rec.is_interweaving
 
 
 def _shard_worker(args):
@@ -398,8 +360,12 @@ def _shard_worker(args):
     if collect is None:
         return enumerate_classes(cfg), None
     rows: list = []
-    report = enumerate_classes(cfg, _collect_sink(rows, collect))
-    return report, rows
+
+    def sink(rec: ClassRecord):
+        if matches_list_filter(rec, collect):
+            rows.append(rec.canonical.rows)
+
+    return enumerate_classes(cfg, sink), rows
 
 
 def enumerate_sharded(
@@ -409,7 +375,6 @@ def enumerate_sharded(
     jobs: Optional[int] = None,
     limit_override: bool = False,
     collect: Optional[str] = None,
-    progress: Optional[Callable[[int], None]] = None,
 ):
     """Run a full census split into ``shards`` slices and merge.
 
@@ -431,8 +396,6 @@ def enumerate_sharded(
     with multiprocessing.Pool(processes=max(1, jobs)) as pool:
         results = pool.map(_shard_worker, tasks)
     report = reduce(merge_reports, (rep for rep, _ in results))
-    if progress is not None:
-        progress(report.candidates_examined)
     if collect is None:
         return report, None
     merged: list = []

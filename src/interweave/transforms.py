@@ -13,6 +13,11 @@ a tuple rotation for rows, an n-bit word rotation for columns — which
 is O(n) words per action instead of the O(n^2) of an actual product.
 The product form is exercised as an oracle in the test suite.
 
+Column rotation, bit reversal and the quarter turn each have one
+kernel on row words (:func:`rotate_words`, :func:`reverse_words`,
+:func:`rotate90_words`), shared by the functions below and by the
+census engine in :mod:`interweave.enumeration`.
+
 :func:`mirror` (reverse column order; right multiplication by the
 anti-diagonal :func:`reversal_matrix`) and :func:`rotate90` (quarter
 turn counterclockwise) are *not* part of the shift action; they define
@@ -76,12 +81,10 @@ def rotate_cols(a: BitMatrix, l: int) -> BitMatrix:
     """
     if l < 0:
         raise ValueError(f"shift count must be non-negative, got {l}")
-    n = a.n
-    l %= n
+    l %= a.n
     if l == 0:
         return a
-    mask = (1 << n) - 1
-    return BitMatrix(tuple((w >> l | w << (n - l)) & mask for w in a.rows))
+    return BitMatrix(rotate_words(a.rows, l, a.n))
 
 
 def act(a: BitMatrix, g: ShiftPair) -> BitMatrix:
@@ -101,22 +104,46 @@ def mirror(a: BitMatrix) -> BitMatrix:
     Equals the boolean product with :func:`reversal_matrix` on the
     right.  Applying it twice restores the original.
     """
-    n = a.n
-    return BitMatrix(tuple(_reverse_bits(w, n) for w in a.rows))
+    return BitMatrix(reverse_words(a.rows, a.n))
 
 
 def rotate90(a: BitMatrix) -> BitMatrix:
     """Quarter turn counterclockwise: entry (i, j) becomes a(j, n-1-i).
 
-    Composition of mirror and transpose; four applications restore the
-    original.
+    Equals the composition of mirror and transpose; four applications
+    restore the original.
     """
-    return mirror(a).transpose()
+    return BitMatrix(rotate90_words(a.rows, a.n))
 
 
-def _reverse_bits(word: int, n: int) -> int:
-    out = 0
-    for _ in range(n):
-        out = out << 1 | word & 1
-        word >>= 1
-    return out
+def rotate_words(words, l: int, n: int) -> tuple:
+    """Each n-bit word rotated right by l places, for 0 <= l < n."""
+    mask = (1 << n) - 1
+    return tuple((w >> l | w << (n - l)) & mask for w in words)
+
+
+def reverse_words(words, n: int) -> tuple:
+    """Each n-bit word with its bit order reversed."""
+    out = []
+    for w in words:
+        r = 0
+        for _ in range(n):
+            r = r << 1 | w & 1
+            w >>= 1
+        out.append(r)
+    return tuple(out)
+
+
+def rotate90_words(rows, n: int) -> tuple:
+    """Row words of the quarter-turn image: entry (i, j) <- (j, n-1-i).
+
+    A direct bit loop; it beats composing mirror and transpose.
+    """
+    out = []
+    for i in range(n):
+        word = 0
+        for j in range(n):
+            if rows[j] >> i & 1:
+                word |= 1 << (n - 1 - j)
+        out.append(word)
+    return tuple(out)

@@ -87,6 +87,24 @@ def test_bad_shard_spec_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("count", "--n", "3"),
+        ("list", "--n", "3"),
+        ("verify", "--n-max", "2"),
+    ),
+    ids=("count", "list", "verify"),
+)
+@pytest.mark.parametrize("jobs", ("0", "-4", "two"))
+def test_jobs_not_a_positive_integer_is_usage_error(capsys, argv, jobs):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--jobs", jobs])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--jobs" in err
+
+
 # -- list ----------------------------------------------------------------------
 
 def test_list_order2(capsys):
@@ -129,6 +147,14 @@ def test_list_to_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text() == "1 2\n"
+
+
+def test_list_bad_order_creates_no_output_file(capsys, tmp_path):
+    target = tmp_path / "f.txt"
+    code, out, err = run(capsys, "list", "--n", "9", "--out", str(target))
+    assert code == 2
+    assert "error:" in err
+    assert not target.exists()
 
 
 def test_list_unwritable_output_path(capsys, tmp_path):

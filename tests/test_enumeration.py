@@ -1,5 +1,7 @@
 """Census generation, the Burnside cross-check, shard merging, verify."""
 
+from functools import reduce
+
 import pytest
 
 import oracle
@@ -10,6 +12,7 @@ from interweave import (
     EnumConfig,
     Shard,
     burnside_b_bar,
+    classify,
     enumerate_classes,
     enumerate_sharded,
     is_canonical,
@@ -101,9 +104,12 @@ def test_report_count_invariants():
         assert report.elapsed >= 0
 
 
-def test_records_are_sorted_canonical_and_mode_consistent():
+@pytest.mark.parametrize("n", (3, 4))
+def test_records_are_sorted_canonical_and_mode_consistent(n):
+    # Ties the inline weavability fold, the minimality scan and the
+    # symmetry pass to the library's classify, record by record.
     for mode in (INTERWEAVINGS, ALL):
-        _, records = _run(3, mode)
+        _, records = _run(n, mode)
         rows = [rec.canonical.rows for rec in records]
         assert rows == sorted(rows)
         for rec in records:
@@ -113,6 +119,7 @@ def test_records_are_sorted_canonical_and_mode_consistent():
                 assert rec.is_interweaving
             else:
                 assert rec.is_interweaving == is_weavable(rec.canonical)
+            assert classify(rec.canonical) == rec
 
 
 # -- brute-force equivalence ---------------------------------------------------------
@@ -191,26 +198,29 @@ def test_burnside_order_range():
 
 # -- shard merging ---------------------------------------------------------------------
 
-def test_two_shards_merge_to_unsharded_report():
+@pytest.mark.parametrize("total", (2, 3, 7))
+def test_two_shards_merge_to_unsharded_report(total):
+    # Order 3 has 6 weavable first row words, so 7 shards leave one empty.
     whole, whole_records = _run(3, INTERWEAVINGS)
     parts = []
     part_rows = []
-    for index in range(2):
+    for index in range(total):
         records = []
         report = enumerate_classes(
-            EnumConfig(3, INTERWEAVINGS, shard=Shard(index, 2)), records.append
+            EnumConfig(3, INTERWEAVINGS, shard=Shard(index, total)), records.append
         )
         parts.append(report)
         part_rows.extend(rec.canonical.rows for rec in records)
 
-    merged = merge_reports(parts[0], parts[1])
+    merged = reduce(merge_reports, parts)
     assert merged.q_count == whole.q_count
     assert merged.q_bar == whole.q_bar
     assert merged.m_bar == whole.m_bar
     assert merged.r_bar == whole.r_bar
     assert merged.candidates_examined == whole.candidates_examined
-    assert merged.shard_indices == {0, 1}
+    assert merged.shard_indices == set(range(total))
     assert sorted(part_rows) == [rec.canonical.rows for rec in whole_records]
+    assert any(p.candidates_examined == 0 for p in parts) == (total == 7)
 
 
 def test_merge_is_commutative():
