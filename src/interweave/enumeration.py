@@ -2,12 +2,18 @@
 
 One representative per class is produced by generating row tuples in
 lexicographic order and keeping exactly those no shift pair can lower.
-A canonical representative's first row word is necessarily its smallest
-(rotating a smaller row to the top would lower the tuple), so the
-generator clamps every later row word to be at least the first instead
-of filtering afterwards — that removes roughly a factor of the order
-from the search.  Weavability is tested before minimality because it is
-an O(n) word fold while the minimality scan is O(n^3) worst case.
+The generator is orderly in Read's sense ("Every one a winner", 1978):
+it only builds tuples that can be canonical.  Shift (0, l) rotates the
+first row alone into the top place, so a canonical first row is the
+least of its own rotations, a necklace; shift (j, l) brings row j's
+rotations to the top, so every later row's least rotation is at least
+the first row.  First words that are not necklaces are skipped, and
+every later row is drawn from the ascending list of words that pass the
+second test, which keeps the tuples in lexicographic order.  At order 5
+that is 1 421 875 candidates for 705 366 interweaving classes, against
+5 273 999 if later rows were only kept at least the first.  Weavability is tested before
+minimality because it is an O(n) word fold while the minimality scan
+is O(n^3) worst case.
 
 The minimality scan doubles as a stabilizer count: the shift pairs
 whose image equals the matrix itself form its stabilizer, and the orbit
@@ -29,9 +35,12 @@ terms outgrow 64 bits from order 8 on.
 
 Enumeration scales as roughly ``2**(n*(n-1))`` candidates, so orders 6
 and up are long-running jobs and must be requested explicitly via
-``limit_override``.  Shards split the outermost loop by residue of the
-first row word and merge by addition, so large runs parallelize with no
-shared state.
+``limit_override``.  Shards split the work by row prefix: the units are
+the (first, second) row pairs that pass the tests above, in
+lexicographic order (105 at order 5), and shard i of t takes every t-th
+of them from the i-th on.  Dealing them round-robin balances the shards
+without a work estimate.  Shards merge by addition, so large runs
+parallelize with no shared state.
 """
 
 from __future__ import annotations
@@ -72,7 +81,8 @@ EXPECTED_DATA = "data/censuses.txt"
 
 
 class Shard(NamedTuple):
-    """Partition slot: this run handles first row words == index (mod total)."""
+    """Partition slot: this run handles the (first, second) row prefixes
+    whose position in lexicographic order is == index (mod total)."""
 
     index: int = 0
     total: int = 1
@@ -207,7 +217,7 @@ def enumerate_classes(
     the class count.  In ``interweavings`` mode only weavable classes
     are generated; in ``all`` mode every class is, and the weaving
     flags are filled per record.  ``progress`` (if given) receives the
-    running candidate count after each outermost batch.
+    running candidate count after each (first, second) row prefix.
     """
     n = cfg.n
     top = (1 << n) - 1
@@ -225,13 +235,24 @@ def enumerate_classes(
     b_bar = q_bar = m_bar = r_bar = q_count = 0
     started = time.perf_counter()
 
-    # The first row words of this shard are those == index (mod total).
-    for first in range(lo + (index - lo) % total, hi + 1, total):
-        for rest in itertools.product(range(first, hi + 1), repeat=n - 1):
+    # Necklace first rows; later rows rotate to nothing below the first.
+    # The (first, second) prefixes are dealt round-robin to the shards.
+    least = [min(col) for col in zip(*rotl)]
+    prefixes = []
+    for first in range(lo, hi + 1):
+        if least[first] != first:
+            continue
+        allowed = [w for w in range(first, hi + 1) if least[w] >= first]
+        prefixes.extend(((first, second), allowed) for second in allowed)
+
+    for prefix, allowed in prefixes[index::total]:
+        first, second = prefix
+        for tail in itertools.product(allowed, repeat=n - 2):
             candidates += 1
-            rows = (first,) + rest
-            ored = anded = first
-            for w in rest:
+            rows = prefix + tail
+            ored = first | second
+            anded = first & second
+            for w in tail:
                 ored |= w
                 anded &= w
             # In all mode the fold also rejects a 0 or all-ones row;
@@ -239,7 +260,7 @@ def enumerate_classes(
             weavable = (
                 ored == top
                 and anded == 0
-                and (weavable_mode or first != 0 and top not in rest)
+                and (weavable_mode or first != 0 and top not in rows)
             )
             if not weavable and weavable_mode:
                 continue

@@ -124,7 +124,7 @@ def test_records_are_sorted_canonical_and_mode_consistent(n):
 
 # -- brute-force equivalence ---------------------------------------------------------
 
-@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("n", (2, 3, 4))
 def test_matches_brute_force_partition(n):
     sizes = oracle.partition_by_class(n)
     assert sum(sizes.values()) == 1 << (n * n)
@@ -142,13 +142,20 @@ def test_matches_brute_force_partition(n):
     assert {r.canonical.rows for r in weavable_records} == expected_weavable
 
 
-@pytest.mark.parametrize("n", (2, 3))
-def test_first_row_clamp_loses_no_representative(n):
-    # Soundness of generating only tuples whose later words are >= the
-    # first: every brute-force canonical form satisfies the clamp.
+def _least_rotation(word, n):
+    mask = (1 << n) - 1
+    return min((word >> l | word << (n - l)) & mask for l in range(n))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_necklace_prune_loses_no_representative(n):
+    # Soundness of generating only tuples whose first word is a necklace
+    # and whose later words rotate to nothing below it: every
+    # brute-force canonical form passes both tests.
     for rep in oracle.partition_by_class(n):
-        words = oracle.grid_to_words(rep)
-        assert all(words[0] <= w for w in words)
+        first, *later = oracle.grid_to_words(rep)
+        assert _least_rotation(first, n) == first
+        assert all(_least_rotation(w, n) >= first for w in later)
 
 
 # -- Burnside oracle ------------------------------------------------------------------
@@ -198,9 +205,10 @@ def test_burnside_order_range():
 
 # -- shard merging ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("total", (2, 3, 7))
+@pytest.mark.parametrize("total", (2, 3, 7, 10))
 def test_two_shards_merge_to_unsharded_report(total):
-    # Order 3 has 6 weavable first row words, so 7 shards leave one empty.
+    # Order 3 has 9 (first, second) row prefixes, so 10 shards leave one
+    # empty and fewer leave none.
     whole, whole_records = _run(3, INTERWEAVINGS)
     parts = []
     part_rows = []
@@ -220,7 +228,38 @@ def test_two_shards_merge_to_unsharded_report(total):
     assert merged.candidates_examined == whole.candidates_examined
     assert merged.shard_indices == set(range(total))
     assert sorted(part_rows) == [rec.canonical.rows for rec in whole_records]
-    assert any(p.candidates_examined == 0 for p in parts) == (total == 7)
+    assert any(p.candidates_examined == 0 for p in parts) == (total == 10)
+
+
+@pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_shards_partition_records_and_candidates(n, mode):
+    whole, whole_records = _run(n, mode)
+    whole_rows = [rec.canonical.rows for rec in whole_records]
+    for total in range(1, 13):
+        rows = []
+        candidates = 0
+        for index in range(total):
+            report, records = _run(n, mode, shard=Shard(index, total))
+            shard_rows = [rec.canonical.rows for rec in records]
+            assert shard_rows == sorted(shard_rows)
+            rows.extend(shard_rows)
+            candidates += report.candidates_examined
+        assert len(set(rows)) == len(rows), f"{total} shards overlap"
+        assert sorted(rows) == whole_rows
+        assert candidates == whole.candidates_examined
+
+
+@pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
+@pytest.mark.parametrize("total", (2, 4))
+def test_shards_balance_candidates(total, mode):
+    counts = [
+        enumerate_classes(
+            EnumConfig(4, mode, shard=Shard(index, total))
+        ).candidates_examined
+        for index in range(total)
+    ]
+    assert max(counts) <= 1.1 * sum(counts) / total, counts
 
 
 def test_merge_is_commutative():
@@ -240,8 +279,8 @@ def test_merge_is_associative():
 
 
 def test_merge_with_empty_shard_is_identity_on_counts():
-    # A 3-way split of order 2 leaves shard 2 with no weavable first
-    # row words; merging its all-zero report changes no counts.
+    # Order 2 has 2 (first, second) row prefixes, so a 3-way split
+    # leaves shard 2 empty; merging its all-zero report changes no counts.
     a = enumerate_classes(EnumConfig(2, INTERWEAVINGS, shard=Shard(0, 3)))
     b = enumerate_classes(EnumConfig(2, INTERWEAVINGS, shard=Shard(2, 3)))
     assert (b.q_bar, b.q_count, b.m_bar, b.r_bar) == (0, 0, 0, 0)
@@ -290,7 +329,7 @@ def test_progress_callback_runs():
     seen = []
     enumerate_classes(EnumConfig(3, INTERWEAVINGS), progress=seen.append)
     assert seen
-    assert seen[-1] == 91  # candidates examined at order 3
+    assert seen[-1] == 45  # candidates examined at order 3: 36 + 9
     assert seen == sorted(seen)
 
 
