@@ -13,6 +13,11 @@ row instead of one per cell, the boolean matrix product reduces to
 word-AND tests against the transposed right factor, and lexicographic
 comparison of two matrices is a plain tuple comparison of row words.
 
+Transposition is one table kernel, :func:`transpose_words`, the
+byte-wise bit-matrix transpose (Warren, *Hacker's Delight*, 2nd ed.,
+section 7-3); the quarter turn in :mod:`interweave.transforms` is the
+same kernel read bottom-up.
+
 Values are immutable and hashable; every operation returns a new
 matrix, which keeps them safe to share between worker processes.
 Orders run from 1 to 32 so a row always fits one unsigned word.
@@ -20,10 +25,37 @@ Orders run from 1 to 32 so a row always fits one unsigned word.
 
 from __future__ import annotations
 
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator
 
 MAX_ORDER = 32
+
+
+@lru_cache(maxsize=None)
+def _spread(n: int) -> tuple:
+    """256-entry table for order n: entry b has bit i of b at bit i*n."""
+    return tuple(
+        sum(1 << i * n for i in range(8) if b >> i & 1) for b in range(256)
+    )
+
+
+def transpose_words(rows, n: int) -> tuple:
+    """Row words of the transpose: entry (i, j) <- (j, i), for 1 <= n <= 32.
+
+    Bit c of row j (entry (j, n-1-c)) goes to bit c*n + n-1-j of one
+    n*n-bit word, one table lookup, shift and OR per byte of the row.
+    Lane c of that word is then column n-1-c read top to bottom, so the
+    lanes from the top down are the transposed rows.
+    """
+    spread = _spread(n)
+    t = 0
+    for k in range(0, n, 8):
+        s = k * n + n
+        for w in rows:
+            s -= 1
+            t |= spread[w >> k & 255] << s
+    mask = (1 << n) - 1
+    return tuple([t >> s & mask for s in range(n * (n - 1), -1, -n)])
 
 
 @total_ordering
@@ -176,14 +208,7 @@ class BitMatrix:
 
     def transpose(self) -> "BitMatrix":
         """Matrix with entry (i, j) equal to self(j, i)."""
-        n = self.n
-        out = [0] * n
-        for i, word in enumerate(self.rows):
-            bit = 1 << (n - 1 - i)
-            for j in range(n):
-                if word >> (n - 1 - j) & 1:
-                    out[j] |= bit
-        return BitMatrix(out)
+        return BitMatrix(transpose_words(self.rows, self.n))
 
     # -- order and identity ---------------------------------------------------
 

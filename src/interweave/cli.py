@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--progress",
             action="store_true",
-            help="report candidates examined on stderr "
-            "(per batch; single-process runs only)",
+            help="report candidates examined on stderr after each "
+            "(first, second) row prefix; silent with --jobs above 1",
         )
 
     count = sub.add_parser("count", help="print the census for one order")

@@ -11,9 +11,16 @@ the first row.  First words that are not necklaces are skipped, and
 every later row is drawn from the ascending list of words that pass the
 second test, which keeps the tuples in lexicographic order.  At order 5
 that is 1 421 875 candidates for 705 366 interweaving classes, against
-5 273 999 if later rows were only kept at least the first.  Weavability is tested before
-minimality because it is an O(n) word fold while the minimality scan
-is O(n^3) worst case.
+5 273 999 if later rows were only kept at least the first.  Weavability
+is tested before minimality because it is an O(n) word fold.
+
+The scans are anchored: every shift image of a generated tuple starts
+with a word no smaller than the first row, so the minimality scan
+compares only the images that tie on it, from rows whose least rotation
+is the first row at the rotations ("anchors") that carry them onto it;
+0.78 pairs per candidate at order 5, against n**2 - 1 = 24 probes.  The
+symmetry pass likewise starts only from rows that are rotations of the
+mirror's or quarter turn's first row.
 
 The minimality scan doubles as a stabilizer count: the shift pairs
 whose image equals the matrix itself form its stabilizer, and the orbit
@@ -136,33 +143,51 @@ class CountReport:
     shard_indices: frozenset = frozenset({0})
 
 
-def _minimality_scan(rows, rotl, n):
+def _shift_tables(n):
+    """Per-order lookup tables of the census loop, indexed by row word.
+
+    ``rotl[l][w]`` is w rotated right by l places, ``least[w]`` the least
+    rotation of w, and ``anchors[w]`` the rotations l, ascending, with
+    ``rotl[l][w] == least[w]``: more than one exactly when w is periodic.
+    """
+    words = range(1 << n)
+    rotl = [rotate_words(words, l, n) for l in range(n)]
+    least = [min(col) for col in zip(*rotl)]
+    anchors = [
+        tuple(l for l in range(n) if rotl[l][w] == least[w]) for w in words
+    ]
+    return rotl, least, anchors
+
+
+def _minimality_scan(rows, rotl, least, anchors, n):
     """0 if some shift image is lexicographically smaller, else the
     stabilizer size (count of shift pairs mapping the matrix to itself).
 
-    Images are compared word by word with early exit; in the common
-    case one comparison of the first row settles a pair.
+    Exact only on the tuples the generator builds: rows[0] is a necklace
+    and every row's least rotation is at least rows[0].  Then the first
+    row of image (k, l), ``rotl[l][rows[k]]``, never falls below rows[0],
+    and it ties exactly when ``least[rows[k]] == rows[0]`` and l is an
+    anchor of rows[k].  Only those pairs are compared, word by word from
+    the second row on.
     """
     r0 = rows[0]
     stab = 1
-    for l in range(n):
-        rl = rotl[l]
-        for k in range(n):
-            if k == 0 and l == 0:
+    for k in range(n):
+        w = rows[k]
+        if least[w] != r0:
+            continue
+        for l in anchors[w]:
+            if not (k or l):
                 continue
-            v = rl[rows[k]]
-            if v > r0:
-                continue
-            if v < r0:
-                return 0
+            rl = rotl[l]
             for i in range(1, n):
                 j = k + i
                 if j >= n:
                     j -= n
-                w = rl[rows[j]]
+                v = rl[rows[j]]
                 ri = rows[i]
-                if w != ri:
-                    if w < ri:
+                if v != ri:
+                    if v < ri:
                         return 0
                     break
             else:
@@ -170,39 +195,33 @@ def _minimality_scan(rows, rotl, n):
     return stab
 
 
-def _symmetry_hits(rows, mrows, rrows, rotl, n):
-    """Whether the orbit of ``rows`` contains its mirror image and/or
-    its quarter-turn image.  Single pass over the n**2 shift images,
-    filtering on the first row word of each target."""
-    m0 = mrows[0]
-    r0 = rrows[0]
-    mhit = rhit = False
-    rng = range(n)
-    for rl in rotl:
-        shifted = [rl[w] for w in rows]
-        for k in rng:
-            v = shifted[k]
-            if not mhit and v == m0:
-                for i in range(1, n):
-                    j = k + i
-                    if j >= n:
-                        j -= n
-                    if shifted[j] != mrows[i]:
-                        break
-                else:
-                    mhit = True
-            if not rhit and v == r0:
-                for i in range(1, n):
-                    j = k + i
-                    if j >= n:
-                        j -= n
-                    if shifted[j] != rrows[i]:
-                        break
-                else:
-                    rhit = True
-        if mhit and rhit:
-            break
-    return mhit, rhit
+def _in_orbit(rows, target, rotl, least, anchors, n):
+    """Whether some shift image of ``rows`` equals ``target``.
+
+    Image (k, l) starts with ``target[0]`` only if rows[k] is a rotation
+    of it, i.e. ``least[rows[k]] == least[target[0]]``.  With b an anchor
+    of target[0], the rotations carrying rows[k] onto target[0] are
+    l = (a - b) % n for a in ``anchors[rows[k]]``; only those pairs are
+    compared.  Exact for any row tuple.
+    """
+    t0 = target[0]
+    key = least[t0]
+    b = anchors[t0][0]
+    for k in range(n):
+        w = rows[k]
+        if least[w] != key:
+            continue
+        for a in anchors[w]:
+            rl = rotl[(a - b) % n]
+            for i in range(1, n):
+                j = k + i
+                if j >= n:
+                    j -= n
+                if rl[rows[j]] != target[i]:
+                    break
+            else:
+                return True
+    return False
 
 
 def enumerate_classes(
@@ -226,9 +245,8 @@ def enumerate_classes(
     lo, hi = (1, top - 1) if weavable_mode else (0, top)
     index, total = cfg.shard
 
-    words = range(1 << n)
-    rotl = [rotate_words(words, l, n) for l in range(n)]
-    brev = reverse_words(words, n)
+    rotl, least, anchors = _shift_tables(n)
+    brev = reverse_words(range(1 << n), n)
     nn = n * n
 
     candidates = 0
@@ -237,7 +255,6 @@ def enumerate_classes(
 
     # Necklace first rows; later rows rotate to nothing below the first.
     # The (first, second) prefixes are dealt round-robin to the shards.
-    least = [min(col) for col in zip(*rotl)]
     prefixes = []
     for first in range(lo, hi + 1):
         if least[first] != first:
@@ -264,7 +281,7 @@ def enumerate_classes(
             )
             if not weavable and weavable_mode:
                 continue
-            stab = _minimality_scan(rows, rotl, n)
+            stab = _minimality_scan(rows, rotl, least, anchors, n)
             if stab == 0:
                 continue
             orbit_size = nn // stab
@@ -274,7 +291,8 @@ def enumerate_classes(
                 q_count += orbit_size
                 mrows = tuple(brev[w] for w in rows)
                 rrows = rotate90_words(rows, n)
-                mhit, rhit = _symmetry_hits(rows, mrows, rrows, rotl, n)
+                mhit = _in_orbit(rows, mrows, rotl, least, anchors, n)
+                rhit = _in_orbit(rows, rrows, rotl, least, anchors, n)
                 if mhit:
                     m_bar += 1
                 if rhit:

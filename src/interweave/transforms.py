@@ -16,7 +16,9 @@ The product form is exercised as an oracle in the test suite.
 Column rotation, bit reversal and the quarter turn each have one
 kernel on row words (:func:`rotate_words`, :func:`reverse_words`,
 :func:`rotate90_words`), shared by the functions below and by the
-census engine in :mod:`interweave.enumeration`.
+census engine in :mod:`interweave.enumeration`.  The quarter turn is
+the transpose kernel that :mod:`interweave.bitmatrix` owns, read
+bottom-up.
 
 :func:`mirror` (reverse column order; right multiplication by the
 anti-diagonal :func:`reversal_matrix`) and :func:`rotate90` (quarter
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bitmatrix import BitMatrix
+from .bitmatrix import BitMatrix, transpose_words
 
 
 class ShiftPair(NamedTuple):
@@ -137,13 +139,7 @@ def reverse_words(words, n: int) -> tuple:
 def rotate90_words(rows, n: int) -> tuple:
     """Row words of the quarter-turn image: entry (i, j) <- (j, n-1-i).
 
-    A direct bit loop; it beats composing mirror and transpose.
+    Row i of the quarter turn is row n-1-i of the transpose, so this is
+    the transpose kernel with its rows read bottom-up.
     """
-    out = []
-    for i in range(n):
-        word = 0
-        for j in range(n):
-            if rows[j] >> i & 1:
-                word |= 1 << (n - 1 - j)
-        out.append(word)
-    return tuple(out)
+    return transpose_words(rows, n)[::-1]

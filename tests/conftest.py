@@ -1,4 +1,7 @@
-"""Shared hypothesis strategies for matrix-valued properties."""
+"""Shared hypothesis strategies and seeded matrix sets for matrix-valued
+properties."""
+
+import random
 
 import hypothesis.strategies as st
 
@@ -30,3 +33,18 @@ def matrix_triples(min_n=1, max_n=6):
     return st.integers(min_n, max_n).flatmap(
         lambda n: st.tuples(matrices(n), matrices(n), matrices(n))
     )
+
+
+# Orders on both sides of each byte boundary of a row word, up to the
+# 32-bit limit; the transpose kernel reads rows a byte at a time.
+BYTE_EDGE_ORDERS = (1, 7, 8, 9, 15, 16, 17, 24, 25, 31, 32)
+
+
+def byte_edge_matrices(n, count=6):
+    """All-ones, identity and ``count`` seeded random order-n matrices."""
+    rng = random.Random(5000 + n)
+    full = (1 << n) - 1
+    out = [BitMatrix((full,) * n), BitMatrix.identity(n)]
+    for _ in range(count):
+        out.append(BitMatrix(rng.getrandbits(n) for _ in range(n)))
+    return out

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 import oracle
-from conftest import matrices_any, matrix_pairs, matrix_triples
+from conftest import (
+    BYTE_EDGE_ORDERS,
+    byte_edge_matrices,
+    matrices_any,
+    matrix_pairs,
+    matrix_triples,
+)
 from interweave import BitMatrix
 
 
@@ -126,6 +132,20 @@ def test_transpose_and_product_match_oracle(pair):
     gb = oracle.words_to_grid(b.rows, b.n)
     assert a.transpose().rows == oracle.grid_to_words(oracle.op_transpose(ga))
     assert (a @ b).rows == oracle.grid_to_words(oracle.op_product(ga, gb))
+
+
+@pytest.mark.parametrize("n", BYTE_EDGE_ORDERS)
+def test_transpose_matches_oracle_across_byte_boundaries(n):
+    for a in byte_edge_matrices(n):
+        grid = oracle.words_to_grid(a.rows, n)
+        assert a.transpose().rows == oracle.grid_to_words(oracle.op_transpose(grid))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_transpose_matches_oracle_exhaustively(n):
+    for grid in oracle.all_grids(n):
+        a = BitMatrix(oracle.grid_to_words(grid))
+        assert a.transpose().rows == oracle.grid_to_words(oracle.op_transpose(grid))
 
 
 @given(matrices_any())

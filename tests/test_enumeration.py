@@ -1,5 +1,7 @@
 """Census generation, the Burnside cross-check, shard merging, verify."""
 
+import itertools
+import random
 from functools import reduce
 
 import pytest
@@ -11,6 +13,8 @@ from interweave import (
     BitMatrix,
     EnumConfig,
     Shard,
+    ShiftPair,
+    act,
     burnside_b_bar,
     classify,
     enumerate_classes,
@@ -19,10 +23,17 @@ from interweave import (
     is_weavable,
     load_expected,
     merge_reports,
+    mirror,
     orbit,
+    rotate90,
     verify_table,
 )
-from interweave.enumeration import VerifyCell
+from interweave.enumeration import (
+    VerifyCell,
+    _in_orbit,
+    _minimality_scan,
+    _shift_tables,
+)
 
 SMALL_CENSUS = {
     # n: (q_count, b_bar, q_bar, m_bar, r_bar)
@@ -156,6 +167,79 @@ def test_necklace_prune_loses_no_representative(n):
         first, *later = oracle.grid_to_words(rep)
         assert _least_rotation(first, n) == first
         assert all(_least_rotation(w, n) >= first for w in later)
+
+
+# -- anchored scans ---------------------------------------------------------------
+
+def _rotations_by_string(word, n):
+    """Rotation l -> word rotated right by l, via its binary string."""
+    bits = format(word, f"0{n}b")
+    return [int(bits[n - l :] + bits[: n - l], 2) for l in range(n)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_anchors_are_the_rotations_onto_the_least(n):
+    _, least, anchors = _shift_tables(n)
+    for w in range(1 << n):
+        rotations = _rotations_by_string(w, n)
+        assert least[w] == min(rotations)
+        expected = {l for l in range(n) if rotations[l] == least[w]}
+        assert anchors[w] and set(anchors[w]) == expected
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_minimality_scan_on_every_generated_shape(n):
+    # Every tuple the generator could build, over the full word range:
+    # a necklace first row, later rows rotating to nothing below it.
+    rotl, least, anchors = _shift_tables(n)
+    words = range(1 << n)
+    for first in words:
+        if least[first] != first:
+            continue
+        later = [w for w in words if least[w] >= first]
+        for tail in itertools.product(later, repeat=n - 1):
+            rows = (first,) + tail
+            grid = oracle.words_to_grid(rows, n)
+            images = oracle.images(grid)
+            stab = _minimality_scan(rows, rotl, least, anchors, n)
+            if min(images) != grid:
+                assert stab == 0, rows
+            else:
+                assert stab * len(images) == n * n, rows
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_in_orbit_agrees_with_the_orbit_set(n):
+    rng = random.Random(6000 + n)
+    rotl, least, anchors = _shift_tables(n)
+    seen = set()
+    for trial in range(40):
+        a = BitMatrix(rng.getrandbits(n) for _ in range(n))
+        # Every few trials, symmetrize so that mirror and quarter-turn
+        # targets also land in the orbit at larger orders.
+        if trial % 4 == 1:
+            a = a | mirror(a)
+        elif trial % 4 == 2:
+            for _ in range(3):
+                a = a | rotate90(a)
+        members = orbit(a)
+        image = act(a, ShiftPair(rng.randrange(n), rng.randrange(n)))
+        unrelated = BitMatrix(rng.getrandbits(n) for _ in range(n))
+        targets = {
+            "image": image,
+            "mirror": mirror(a),
+            "quarter": rotate90(a),
+            "unrelated": unrelated,
+        }
+        for kind, target in targets.items():
+            hit = _in_orbit(a.rows, target.rows, rotl, least, anchors, n)
+            assert hit == (target in members), (kind, a, target)
+            seen.add((kind, hit))
+    assert ("image", False) not in seen
+    assert ("unrelated", False) in seen
+    if n > 2:  # at order 2 every mirror image is a column shift
+        assert {("mirror", True), ("mirror", False)} <= seen
+        assert {("quarter", True), ("quarter", False)} <= seen
 
 
 # -- Burnside oracle ------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import oracle
-from conftest import matrices_any
+from conftest import BYTE_EDGE_ORDERS, byte_edge_matrices, matrices_any
 from interweave import (
     BitMatrix,
     ShiftPair,
@@ -181,9 +181,17 @@ def test_rotate90_is_reversal_times_transpose(a):
     assert rotate90(a) == reversal_matrix(a.n) @ a.transpose()
 
 
-def test_rotate90_matches_oracle_exhaustively_order3():
-    for grid in oracle.all_grids(3):
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_rotate90_matches_oracle_exhaustively(n):
+    for grid in oracle.all_grids(n):
         a = BitMatrix(oracle.grid_to_words(grid))
+        assert rotate90(a).rows == oracle.grid_to_words(oracle.rot90_grid(grid))
+
+
+@pytest.mark.parametrize("n", BYTE_EDGE_ORDERS)
+def test_rotate90_matches_oracle_across_byte_boundaries(n):
+    for a in byte_edge_matrices(n):
+        grid = oracle.words_to_grid(a.rows, n)
         assert rotate90(a).rows == oracle.grid_to_words(oracle.rot90_grid(grid))
 
 
