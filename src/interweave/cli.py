@@ -20,17 +20,15 @@ import argparse
 import sys
 from typing import Optional
 
-from .classify import ClassRecord, classify
+from .classify import classify
 from .enumeration import (
     ALL,
     INTERWEAVINGS,
     LIST_FILTERS,
     EnumConfig,
     Shard,
-    enumerate_classes,
-    enumerate_sharded,
+    _run_shards,
     load_expected,
-    matches_list_filter,
     verify_table,
 )
 from .formats import (
@@ -101,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--progress",
             action="store_true",
-            help="report candidates examined on stderr after each "
-            "(first, second) row prefix; silent with --jobs above 1",
+            help="report candidates examined on stderr: after each "
+            "(first, second) row prefix, or with --jobs above 1 as each "
+            "shard finishes",
         )
 
     count = sub.add_parser("count", help="print the census for one order")
@@ -175,46 +174,26 @@ def _read_matrix(args):
     return parse_tuple(" ".join(args.words))
 
 
-def _progress_printer(shard: Shard):
-    def report(candidates: int):
-        print(
-            f"shard {shard.index}/{shard.total}: "
-            f"{candidates} candidates examined",
-            file=sys.stderr,
-        )
-
-    return report
+def _print_progress(shard: Shard, candidates: int):
+    print(
+        f"shard {shard.index}/{shard.total}: {candidates} candidates examined",
+        file=sys.stderr,
+    )
 
 
-def _parallel_jobs(args) -> Optional[int]:
-    """J when the run should fan out to J worker processes, else None."""
+def _enum_run(args, mode: str):
+    """Config, shard count and progress reporter of a count or list run;
+    ``--jobs J`` splits the run into J shards run in J processes."""
     if args.shard is not None and args.jobs is not None:
         raise ValueError("--shard and --jobs are mutually exclusive")
-    if args.jobs is not None and args.jobs > 1:
-        return args.jobs
-    return None
-
-
-def _single_config(args, mode: str):
-    shard = args.shard or Shard()
-    cfg = EnumConfig(args.n, mode, shard, args.limit_override)
-    progress = _progress_printer(shard) if args.progress else None
-    return cfg, progress
+    cfg = EnumConfig(args.n, mode, args.shard or Shard(), args.limit_override)
+    progress = _print_progress if args.progress else None
+    return cfg, args.jobs or 1, progress
 
 
 def cmd_count(args) -> int:
-    jobs = _parallel_jobs(args)
-    cfg, progress = _single_config(args, args.mode)
-    if jobs:
-        report, _ = enumerate_sharded(
-            args.n,
-            args.mode,
-            shards=jobs,
-            jobs=jobs,
-            limit_override=args.limit_override,
-        )
-    else:
-        report = enumerate_classes(cfg, progress=progress)
+    cfg, shards, progress = _enum_run(args, args.mode)
+    report = _run_shards(cfg, shards, shards, progress=progress)
     lines = [f"n: {report.n}", f"q_count: {report.q_count}"]
     if report.b_bar is not None:
         lines.append(f"b_bar: {report.b_bar}")
@@ -230,30 +209,11 @@ def cmd_count(args) -> int:
 
 
 def cmd_list(args) -> int:
-    jobs = _parallel_jobs(args)
     # Built first so a bad order is refused before --out is created.
-    cfg, progress = _single_config(args, INTERWEAVINGS)
+    cfg, shards, progress = _enum_run(args, INTERWEAVINGS)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        if jobs:
-            _, rows = enumerate_sharded(
-                args.n,
-                INTERWEAVINGS,
-                shards=jobs,
-                jobs=jobs,
-                limit_override=args.limit_override,
-                collect=args.filter,
-            )
-            for row_words in rows:
-                out.write(" ".join(str(w) for w in row_words) + "\n")
-        else:
-            # Single shard: generation order is lexicographic, so the
-            # records stream straight out without buffering.
-            def sink(rec: ClassRecord):
-                if matches_list_filter(rec, args.filter):
-                    out.write(format_tuple(rec.canonical) + "\n")
-
-            enumerate_classes(cfg, sink, progress=progress)
+        _run_shards(cfg, shards, shards, args.filter, out, progress)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -48,15 +48,27 @@ lexicographic order (105 at order 5), and shard i of t takes every t-th
 of them from the i-th on.  Dealing them round-robin balances the shards
 without a work estimate.  Shards merge by addition, so large runs
 parallelize with no shared state.
+
+A sharded listing streams through one file per shard.  Each worker
+writes its classes, in generation order, to its own file in a temporary
+directory and notes the file offset at the end of every prefix.  The
+classes of one prefix form one contiguous run of the sorted listing, so
+global prefix p is block p // t of shard p % t, and the parent copies
+the blocks in that order, in bounded chunks, without sorting or
+comparing anything.  No process holds the listing, so memory does not
+grow with the class count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import multiprocessing
 import os
+import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from importlib.resources import files
 from math import gcd, lcm
@@ -64,6 +76,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .bitmatrix import BitMatrix
 from .classify import ClassRecord
+from .formats import format_tuple
 from .transforms import reverse_words, rotate90_words, rotate_words
 
 INTERWEAVINGS = "interweavings"
@@ -393,18 +406,114 @@ def matches_list_filter(rec: ClassRecord, wanted: str) -> bool:
     return rec.is_interweaving
 
 
-def _shard_worker(args):
-    n, mode, index, total, limit_override, collect = args
-    cfg = EnumConfig(n, mode, Shard(index, total), limit_override)
-    if collect is None:
-        return enumerate_classes(cfg), None
-    rows: list = []
+def _listing_sink(out, wanted: str) -> Callable[[ClassRecord], None]:
+    """Sink that writes each record listed under ``wanted`` to the text
+    stream ``out`` as one tuple line."""
 
     def sink(rec: ClassRecord):
-        if matches_list_filter(rec, collect):
-            rows.append(rec.canonical.rows)
+        if matches_list_filter(rec, wanted):
+            out.write(format_tuple(rec.canonical) + "\n")
 
-    return enumerate_classes(cfg, sink), rows
+    return sink
+
+
+def _shard_worker(task):
+    """Pool worker: run one shard, writing its listing (if any) to its
+    own file.  Returns the report and the file offset at the end of each
+    of the shard's prefixes.
+
+    The merge in :func:`_interleave` relies on ``progress`` firing once
+    per prefix, in order, even for a prefix that lists nothing, so that
+    offset k closes the shard's k-th prefix.
+    """
+    cfg, wanted, path = task
+    if wanted is None:
+        return enumerate_classes(cfg), []
+    offsets: list = []
+    # Tuple lines are ASCII, so offsets count bytes and characters alike.
+    with open(path, "w", encoding="ascii", newline="") as out:
+        report = enumerate_classes(
+            cfg, _listing_sink(out, wanted), lambda _: offsets.append(out.tell())
+        )
+    return report, offsets
+
+
+# Largest piece of a shard file the parent holds while copying.
+_COPY_CHARS = 1 << 20
+
+
+def _copy(src, dst, size: int) -> None:
+    while size > 0:
+        chunk = src.read(min(size, _COPY_CHARS))
+        if not chunk:
+            raise EOFError(f"{src.name} ended {size} characters early")
+        dst.write(chunk)
+        size -= len(chunk)
+
+
+def _interleave(paths, offsets, out) -> None:
+    """Copy the shard files to ``out`` in global prefix order.
+
+    Shard s of t holds prefixes s, s + t, s + 2t, ... in lexicographic
+    order, and each prefix covers one contiguous run of the sorted
+    listing, so global prefix p is block p // t of shard p % t: the
+    blocks go out k-major, shard-minor.  A shard with fewer prefixes
+    contributes empty blocks at the end.
+    """
+    sizes = [[b - a for a, b in zip([0, *ends], ends)] for ends in offsets]
+    with contextlib.ExitStack() as stack:
+        files = [
+            stack.enter_context(open(path, encoding="ascii", newline=""))
+            for path in paths
+        ]
+        for blocks in itertools.zip_longest(*sizes, fillvalue=0):
+            for src, size in zip(files, blocks):
+                _copy(src, out, size)
+
+
+def _run_shards(
+    cfg: EnumConfig,
+    shards: int,
+    jobs: Optional[int] = None,
+    wanted: Optional[str] = None,
+    out=None,
+    progress: Optional[Callable[[Shard, int], None]] = None,
+) -> CountReport:
+    """Run ``cfg`` split into ``shards`` slices and merge the reports;
+    with a list filter ``wanted``, also write the listing, one tuple
+    line per class in lexicographic order, to the text stream ``out``.
+
+    One shard runs ``cfg`` in-process, streams straight to ``out`` and
+    calls ``progress(shard, candidates)`` after each prefix.  More
+    shards run in a pool of ``jobs`` workers (default: one per shard,
+    capped at the CPU count); ``progress`` fires as each shard finishes,
+    and the listing streams through per-shard files (see
+    :func:`_interleave`), so no process holds it.
+    """
+    if shards == 1:
+        sink = None if wanted is None else _listing_sink(out, wanted)
+        step = None if progress is None else lambda c: progress(cfg.shard, c)
+        return enumerate_classes(cfg, sink, step)
+    if jobs is None:
+        jobs = min(shards, os.cpu_count() or 1)
+    parts = [Shard(s, shards) for s in range(shards)]
+    reports: list = [None] * shards
+    offsets: list = [None] * shards
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"shard{s}.txt") for s in range(shards)]
+        tasks = [
+            (replace(cfg, shard=part), wanted, path)
+            for part, path in zip(parts, paths)
+        ]
+        with multiprocessing.Pool(processes=max(1, jobs)) as pool:
+            for report, ends in pool.imap_unordered(_shard_worker, tasks):
+                (s,) = report.shard_indices
+                reports[s], offsets[s] = report, ends
+                if progress is not None:
+                    progress(parts[s], report.candidates_examined)
+        if wanted is not None:
+            _interleave(paths, offsets, out)
+    return reduce(merge_reports, reports)
 
 
 def enumerate_sharded(
@@ -422,26 +531,18 @@ def enumerate_sharded(
     machine's CPU count) computes the slices independently.  Returns
     ``(report, rows)`` where ``rows`` is the merged, lexicographically
     sorted list of canonical row tuples matching ``collect`` ("all",
-    "mirror" or "rotation"), or None when ``collect`` is None.
+    "mirror" or "rotation"), read back from the streamed listing, or
+    None when ``collect`` is None.
     """
     if shards < 1:
         raise ValueError(f"shard count must be positive, got {shards}")
-    if shards == 1:
-        report, rows = _shard_worker((n, mode, 0, 1, limit_override, collect))
-        return report, rows
-    tasks = [(n, mode, s, shards, limit_override, collect) for s in range(shards)]
-    if jobs is None:
-        jobs = min(shards, os.cpu_count() or 1)
-    with multiprocessing.Pool(processes=max(1, jobs)) as pool:
-        results = pool.map(_shard_worker, tasks)
-    report = reduce(merge_reports, (rep for rep, _ in results))
+    cfg = EnumConfig(n, mode, limit_override=limit_override)
     if collect is None:
-        return report, None
-    merged: list = []
-    for _, rows in results:
-        merged.extend(rows)
-    merged.sort()
-    return report, merged
+        return _run_shards(cfg, shards, jobs), None
+    listing = io.StringIO()
+    report = _run_shards(cfg, shards, jobs, collect, listing)
+    rows = [tuple(map(int, line.split())) for line in listing.getvalue().splitlines()]
+    return report, rows
 
 
 # -- reference constants and verification -----------------------------------

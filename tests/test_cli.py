@@ -4,6 +4,7 @@ import pytest
 
 from interweave import canonical, is_canonical, parse_tuple
 from interweave.cli import main
+from interweave.enumeration import LIST_FILTERS
 
 
 def run(capsys, *argv):
@@ -66,6 +67,24 @@ def test_count_progress_on_stderr(capsys):
     code, _, err = run(capsys, "count", "--n", "2", "--progress")
     assert code == 0
     assert "candidates examined" in err
+
+
+def test_count_progress_under_jobs_reports_each_shard(capsys):
+    def counts(text):
+        return [line for line in text.splitlines() if not line.startswith("elapsed:")]
+
+    _, quiet, _ = run(capsys, "count", "--n", "3", "--jobs", "2")
+    code, out, err = run(capsys, "count", "--n", "3", "--jobs", "2", "--progress")
+    assert code == 0
+    assert counts(out) == counts(quiet)
+    examined = {}
+    for line in err.splitlines():
+        shard, rest = line.split(": ", 1)
+        assert rest.endswith(" candidates examined")
+        assert shard not in examined
+        examined[shard] = int(rest.split()[0])
+    assert sorted(examined) == ["shard 0/2", "shard 1/2"]
+    assert sum(examined.values()) == 45
 
 
 def test_count_refuses_order6_without_override(capsys):
@@ -135,9 +154,23 @@ def test_list_rotation_filter(capsys):
     assert len(out.splitlines()) == 2
 
 
-def test_list_jobs_matches_streamed_output(capsys):
-    _, streamed, _ = run(capsys, "list", "--n", "3")
-    _, parallel, _ = run(capsys, "list", "--n", "3", "--jobs", "2")
+@pytest.mark.parametrize("to_file", (False, True), ids=("stdout", "out"))
+@pytest.mark.parametrize("wanted", LIST_FILTERS)
+@pytest.mark.parametrize("jobs", (2, 3, 10))
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_list_jobs_matches_streamed_output(capsys, tmp_path, n, jobs, wanted, to_file):
+    # Order 2 has 2 prefixes and order 3 has 9, so 3 and 10 jobs leave
+    # shards with no prefix at all.
+    argv = ("list", "--n", str(n), "--filter", wanted)
+    _, streamed, _ = run(capsys, *argv)
+    if to_file:
+        target = tmp_path / "reps.txt"
+        code, out, _ = run(capsys, *argv, "--jobs", str(jobs), "--out", str(target))
+        assert out == ""
+        parallel = target.read_text()
+    else:
+        code, parallel, _ = run(capsys, *argv, "--jobs", str(jobs))
+    assert code == 0
     assert parallel == streamed
 
 

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import tempfile
 from functools import reduce
 
 import pytest
 
 import oracle
+from interweave import enumeration
 from interweave import (
     ALL,
     INTERWEAVINGS,
@@ -29,6 +31,7 @@ from interweave import (
     verify_table,
 )
 from interweave.enumeration import (
+    LIST_FILTERS,
     VerifyCell,
     _in_orbit,
     _minimality_scan,
@@ -389,10 +392,11 @@ def test_merge_rejects_mismatches():
     assert merge_reports(r2, r2b).q_bar == 1
 
 
-def test_enumerate_sharded_equals_single_run():
-    whole, whole_rows = enumerate_sharded(3, INTERWEAVINGS, collect="all")
+@pytest.mark.parametrize("wanted", LIST_FILTERS)
+def test_enumerate_sharded_equals_single_run(wanted):
+    whole, whole_rows = enumerate_sharded(3, INTERWEAVINGS, collect=wanted)
     sharded, sharded_rows = enumerate_sharded(
-        3, INTERWEAVINGS, shards=3, jobs=2, collect="all"
+        3, INTERWEAVINGS, shards=3, jobs=2, collect=wanted
     )
     assert sharded.q_count == whole.q_count
     assert sharded.q_bar == whole.q_bar
@@ -407,6 +411,29 @@ def test_enumerate_sharded_collect_filters():
     _, rotation_rows = enumerate_sharded(3, INTERWEAVINGS, collect="rotation")
     assert len(mirror_rows) == 2
     assert len(rotation_rows) == 2
+
+
+def test_sharded_listing_leaves_no_temp_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    _, rows = enumerate_sharded(3, INTERWEAVINGS, shards=2, collect="all")
+    assert len(rows) == 14
+    assert not list(tmp_path.iterdir())
+
+
+def test_failed_shard_raises_and_leaves_no_temp_files(tmp_path, monkeypatch):
+    # Pool workers are forked, so they inherit the patched function.
+    real = enumeration.enumerate_classes
+
+    def failing(cfg, *args, **kwargs):
+        if cfg.shard.index == 1:
+            raise RuntimeError("shard 1 failed")
+        return real(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(enumeration, "enumerate_classes", failing)
+    with pytest.raises(RuntimeError, match="shard 1 failed"):
+        enumerate_sharded(3, INTERWEAVINGS, shards=2, collect="all")
+    assert not list(tmp_path.iterdir())
 
 
 def test_progress_callback_runs():
