@@ -9,7 +9,8 @@ Subcommands:
 * ``verify``    recompute small-order censuses and diff them against
                 the packaged reference constants
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or input error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or input error
+or a failed worker.
 Counts print as exact integers with no grouping so output diffs cleanly
 against the reference fixture.
 """
@@ -27,6 +28,7 @@ from .enumeration import (
     LIST_FILTERS,
     EnumConfig,
     Shard,
+    _PrefixError,
     _run_shards,
     load_expected,
     verify_table,
@@ -89,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=_parse_jobs,
             default=None,
             metavar="J",
-            help="split into J shards and run them in J worker processes",
+            help="run the (first, second) row prefixes in J worker "
+            "processes; composes with --shard",
         )
         p.add_argument(
             "--limit-override",
@@ -99,9 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--progress",
             action="store_true",
-            help="report candidates examined on stderr: after each "
-            "(first, second) row prefix, or with --jobs above 1 as each "
-            "shard finishes",
+            help="report candidates examined on stderr after each "
+            "(first, second) row prefix",
         )
 
     count = sub.add_parser("count", help="print the census for one order")
@@ -145,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         "packaged fixture (lines of: order key value)",
     )
     verify.add_argument(
-        "--jobs", type=_parse_jobs, metavar="J", help="shard each census J ways"
+        "--jobs", type=_parse_jobs, metavar="J", help="run each census on J workers"
     )
     return parser
 
@@ -182,18 +184,15 @@ def _print_progress(shard: Shard, candidates: int):
 
 
 def _enum_run(args, mode: str):
-    """Config, shard count and progress reporter of a count or list run;
-    ``--jobs J`` splits the run into J shards run in J processes."""
-    if args.shard is not None and args.jobs is not None:
-        raise ValueError("--shard and --jobs are mutually exclusive")
+    """Config, worker count and progress reporter of a count or list run."""
     cfg = EnumConfig(args.n, mode, args.shard or Shard(), args.limit_override)
     progress = _print_progress if args.progress else None
     return cfg, args.jobs or 1, progress
 
 
 def cmd_count(args) -> int:
-    cfg, shards, progress = _enum_run(args, args.mode)
-    report = _run_shards(cfg, shards, shards, progress=progress)
+    cfg, jobs, progress = _enum_run(args, args.mode)
+    report = _run_shards(cfg, jobs, progress=progress)
     lines = [f"n: {report.n}", f"q_count: {report.q_count}"]
     if report.b_bar is not None:
         lines.append(f"b_bar: {report.b_bar}")
@@ -210,10 +209,10 @@ def cmd_count(args) -> int:
 
 def cmd_list(args) -> int:
     # Built first so a bad order is refused before --out is created.
-    cfg, shards, progress = _enum_run(args, INTERWEAVINGS)
+    cfg, jobs, progress = _enum_run(args, INTERWEAVINGS)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        _run_shards(cfg, shards, shards, args.filter, out, progress)
+        _run_shards(cfg, jobs, args.filter, out, progress)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -248,8 +247,7 @@ def cmd_render(args) -> int:
 
 def cmd_verify(args) -> int:
     expected = load_expected(args.expected) if args.expected else None
-    shards = args.jobs or 1
-    cells = verify_table(args.n_max, expected=expected, shards=shards, jobs=args.jobs)
+    cells = verify_table(args.n_max, expected=expected, jobs=args.jobs)
     failures = 0
     for cell in cells:
         status = "PASS" if cell.ok else "FAIL"
@@ -276,7 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (MatrixParseError, ValueError, OSError) as exc:
+    except (MatrixParseError, ValueError, OSError, _PrefixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,27 +49,23 @@ of them from the i-th on.  Dealing them round-robin balances the shards
 without a work estimate.  Shards merge by addition, so large runs
 parallelize with no shared state.
 
-A sharded listing streams through one file per shard.  Each worker
-writes its classes, in generation order, to its own file in a temporary
-directory and notes the file offset at the end of every prefix.  The
-classes of one prefix form one contiguous run of the sorted listing, so
-global prefix p is block p // t of shard p % t, and the parent copies
-the blocks in that order, in bounded chunks, without sorting or
-comparing anything.  No process holds the listing, so memory does not
-grow with the class count.
+Under a process pool the prefix is also the unit of work.  Each task
+runs one prefix, as shard p of P where P is the prefix count, and
+returns its report and its listing block.  The classes of one prefix
+form one contiguous run of the sorted listing, so the parent writes the
+blocks in prefix order as they arrive and adds up the reports, without
+sorting or comparing anything.  The parent holds only blocks that finish
+ahead of their turn, so memory follows the largest blocks, not the
+whole listing.
 """
 
 from __future__ import annotations
 
-import contextlib
 import io
 import itertools
-import multiprocessing
 import os
-import tempfile
 import time
 from dataclasses import dataclass, replace
-from functools import reduce
 from importlib.resources import files
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional
@@ -172,6 +168,26 @@ def _shift_tables(n):
     return rotl, least, anchors
 
 
+def _prefixes(cfg: EnumConfig, least):
+    """The (first, second) row prefixes of ``cfg``'s order and mode in
+    lexicographic order, each with the ascending words its later rows
+    are drawn from.
+
+    First rows are necklaces, and later rows rotate to nothing below the
+    first.  One-colour rows never code a fabric, so interweavings skip
+    them.
+    """
+    top = (1 << cfg.n) - 1
+    lo, hi = (1, top - 1) if cfg.mode == INTERWEAVINGS else (0, top)
+    prefixes = []
+    for first in range(lo, hi + 1):
+        if least[first] != first:
+            continue
+        allowed = [w for w in range(first, hi + 1) if least[w] >= first]
+        prefixes.extend(((first, second), allowed) for second in allowed)
+    return prefixes
+
+
 def _minimality_scan(rows, rotl, least, anchors, n):
     """0 if some shift image is lexicographically smaller, else the
     stabilizer size (count of shift pairs mapping the matrix to itself).
@@ -254,8 +270,6 @@ def enumerate_classes(
     n = cfg.n
     top = (1 << n) - 1
     weavable_mode = cfg.mode == INTERWEAVINGS
-    # One-colour rows never code a fabric, so interweavings skip them.
-    lo, hi = (1, top - 1) if weavable_mode else (0, top)
     index, total = cfg.shard
 
     rotl, least, anchors = _shift_tables(n)
@@ -266,16 +280,8 @@ def enumerate_classes(
     b_bar = q_bar = m_bar = r_bar = q_count = 0
     started = time.perf_counter()
 
-    # Necklace first rows; later rows rotate to nothing below the first.
-    # The (first, second) prefixes are dealt round-robin to the shards.
-    prefixes = []
-    for first in range(lo, hi + 1):
-        if least[first] != first:
-            continue
-        allowed = [w for w in range(first, hi + 1) if least[w] >= first]
-        prefixes.extend(((first, second), allowed) for second in allowed)
-
-    for prefix, allowed in prefixes[index::total]:
+    # The prefixes are dealt round-robin to the shards.
+    for prefix, allowed in _prefixes(cfg, least)[index::total]:
         first, second = prefix
         for tail in itertools.product(allowed, repeat=n - 2):
             candidates += 1
@@ -417,103 +423,73 @@ def _listing_sink(out, wanted: str) -> Callable[[ClassRecord], None]:
     return sink
 
 
-def _shard_worker(task):
-    """Pool worker: run one shard, writing its listing (if any) to its
-    own file.  Returns the report and the file offset at the end of each
-    of the shard's prefixes.
-
-    The merge in :func:`_interleave` relies on ``progress`` firing once
-    per prefix, in order, even for a prefix that lists nothing, so that
-    offset k closes the shard's k-th prefix.
-    """
-    cfg, wanted, path = task
-    if wanted is None:
-        return enumerate_classes(cfg), []
-    offsets: list = []
-    # Tuple lines are ASCII, so offsets count bytes and characters alike.
-    with open(path, "w", encoding="ascii", newline="") as out:
-        report = enumerate_classes(
-            cfg, _listing_sink(out, wanted), lambda _: offsets.append(out.tell())
-        )
-    return report, offsets
+class _PrefixError(RuntimeError):
+    """A pool task failed; names its prefix and chains the cause."""
 
 
-# Largest piece of a shard file the parent holds while copying.
-_COPY_CHARS = 1 << 20
-
-
-def _copy(src, dst, size: int) -> None:
-    while size > 0:
-        chunk = src.read(min(size, _COPY_CHARS))
-        if not chunk:
-            raise EOFError(f"{src.name} ended {size} characters early")
-        dst.write(chunk)
-        size -= len(chunk)
-
-
-def _interleave(paths, offsets, out) -> None:
-    """Copy the shard files to ``out`` in global prefix order.
-
-    Shard s of t holds prefixes s, s + t, s + 2t, ... in lexicographic
-    order, and each prefix covers one contiguous run of the sorted
-    listing, so global prefix p is block p // t of shard p % t: the
-    blocks go out k-major, shard-minor.  A shard with fewer prefixes
-    contributes empty blocks at the end.
-    """
-    sizes = [[b - a for a, b in zip([0, *ends], ends)] for ends in offsets]
-    with contextlib.ExitStack() as stack:
-        files = [
-            stack.enter_context(open(path, encoding="ascii", newline=""))
-            for path in paths
-        ]
-        for blocks in itertools.zip_longest(*sizes, fillvalue=0):
-            for src, size in zip(files, blocks):
-                _copy(src, out, size)
+def _prefix_worker(task):
+    """Pool worker: run one prefix; return its report and its listing
+    block (empty without a list filter)."""
+    cfg, wanted = task
+    block = io.StringIO()
+    sink = None if wanted is None else _listing_sink(block, wanted)
+    return enumerate_classes(cfg, sink), block.getvalue()
 
 
 def _run_shards(
     cfg: EnumConfig,
-    shards: int,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     wanted: Optional[str] = None,
     out=None,
     progress: Optional[Callable[[Shard, int], None]] = None,
 ) -> CountReport:
-    """Run ``cfg`` split into ``shards`` slices and merge the reports;
-    with a list filter ``wanted``, also write the listing, one tuple
-    line per class in lexicographic order, to the text stream ``out``.
+    """Run ``cfg``'s shard; with a list filter ``wanted``, also write the
+    listing, one tuple line per class in lexicographic order, to the text
+    stream ``out``.  ``progress(cfg.shard, candidates)`` fires after each
+    (first, second) prefix with the running candidate count.
 
-    One shard runs ``cfg`` in-process, streams straight to ``out`` and
-    calls ``progress(shard, candidates)`` after each prefix.  More
-    shards run in a pool of ``jobs`` workers (default: one per shard,
-    capped at the CPU count); ``progress`` fires as each shard finishes,
-    and the listing streams through per-shard files (see
-    :func:`_interleave`), so no process holds it.
+    With ``jobs == 1`` the shard runs in-process and streams straight to
+    ``out``.  Otherwise a pool of at most ``jobs`` workers, and no more
+    than the shard has prefixes, runs one task per prefix in prefix
+    order; the parent writes each prefix's block and adds up its report
+    as it arrives, so output and progress are those of the in-process
+    run.  The report's ``elapsed`` is then the parent's wall time.  A
+    task that fails or whose worker dies raises ``_PrefixError``.
     """
-    if shards == 1:
+    index, total = cfg.shard
+    prefixes = _prefixes(cfg, _shift_tables(cfg.n)[1]) if jobs > 1 else ()
+    picked = range(index, len(prefixes), total)
+    if not picked:  # one job, or a shard without a prefix to hand out
         sink = None if wanted is None else _listing_sink(out, wanted)
         step = None if progress is None else lambda c: progress(cfg.shard, c)
         return enumerate_classes(cfg, sink, step)
-    if jobs is None:
-        jobs = min(shards, os.cpu_count() or 1)
-    parts = [Shard(s, shards) for s in range(shards)]
-    reports: list = [None] * shards
-    offsets: list = [None] * shards
-    with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, f"shard{s}.txt") for s in range(shards)]
-        tasks = [
-            (replace(cfg, shard=part), wanted, path)
-            for part, path in zip(parts, paths)
-        ]
-        with multiprocessing.Pool(processes=max(1, jobs)) as pool:
-            for report, ends in pool.imap_unordered(_shard_worker, tasks):
-                (s,) = report.shard_indices
-                reports[s], offsets[s] = report, ends
-                if progress is not None:
-                    progress(parts[s], report.candidates_examined)
-        if wanted is not None:
-            _interleave(paths, offsets, out)
-    return reduce(merge_reports, reports)
+    # Imported here: the pool machinery would slow every CLI start.
+    from concurrent.futures import ProcessPoolExecutor
+
+    started = time.perf_counter()
+    tasks = [(replace(cfg, shard=Shard(p, len(prefixes))), wanted) for p in picked]
+    merged = None
+    with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
+        results = pool.map(_prefix_worker, tasks)
+        for p in picked:
+            try:
+                report, block = next(results)
+            except Exception as exc:
+                first, second = prefixes[p][0]
+                raise _PrefixError(
+                    f"prefix {p} ({first} {second}) of order {cfg.n} failed: {exc}"
+                ) from exc
+            if wanted is not None:
+                out.write(block)
+            merged = report if merged is None else merge_reports(merged, report)
+            if progress is not None:
+                progress(cfg.shard, merged.candidates_examined)
+    return replace(
+        merged,
+        elapsed=time.perf_counter() - started,
+        shard_total=total,
+        shard_indices=frozenset({index}),
+    )
 
 
 def enumerate_sharded(
@@ -524,23 +500,29 @@ def enumerate_sharded(
     limit_override: bool = False,
     collect: Optional[str] = None,
 ):
-    """Run a full census split into ``shards`` slices and merge.
+    """Run a full census on ``jobs`` workers and label it as ``shards``
+    merged slices.
 
-    With one shard everything runs in-process; with more, a process
-    pool of ``jobs`` workers (default: one per shard, capped at the
-    machine's CPU count) computes the slices independently.  Returns
-    ``(report, rows)`` where ``rows`` is the merged, lexicographically
-    sorted list of canonical row tuples matching ``collect`` ("all",
-    "mirror" or "rotation"), read back from the streamed listing, or
-    None when ``collect`` is None.
+    ``jobs`` defaults to ``min(shards, cpu_count)``.  One job runs
+    in-process; more run the (first, second) prefixes in a process pool
+    (see :func:`_run_shards`).  Returns ``(report, rows)`` where ``rows``
+    is the lexicographically sorted list of canonical row tuples matching
+    ``collect`` ("all", "mirror" or "rotation"), read back from the
+    streamed listing, or None when ``collect`` is None.
     """
     if shards < 1:
         raise ValueError(f"shard count must be positive, got {shards}")
+    if jobs is None:
+        jobs = min(shards, os.cpu_count() or 1)
     cfg = EnumConfig(n, mode, limit_override=limit_override)
-    if collect is None:
-        return _run_shards(cfg, shards, jobs), None
-    listing = io.StringIO()
-    report = _run_shards(cfg, shards, jobs, collect, listing)
+    listing = None if collect is None else io.StringIO()
+    report = replace(
+        _run_shards(cfg, jobs, collect, listing),
+        shard_total=shards,
+        shard_indices=frozenset(range(shards)),
+    )
+    if listing is None:
+        return report, None
     rows = [tuple(map(int, line.split())) for line in listing.getvalue().splitlines()]
     return report, rows
 
@@ -605,7 +587,6 @@ class VerifyCell:
 def verify_table(
     n_max: int,
     expected: Optional[dict] = None,
-    shards: int = 1,
     jobs: Optional[int] = None,
 ) -> list[VerifyCell]:
     """Recompute the census for orders 2..n_max and diff every cell
@@ -633,13 +614,13 @@ def verify_table(
         )
 
     for n in range(2, n_max + 1):
-        report, _ = enumerate_sharded(n, INTERWEAVINGS, shards=shards, jobs=jobs)
+        report, _ = enumerate_sharded(n, INTERWEAVINGS, jobs=jobs)
         compare(n, "q_count", "enumerated", report.q_count)
         compare(n, "q_bar", "enumerated", report.q_bar)
         compare(n, "m_bar", "enumerated", report.m_bar)
         compare(n, "r_bar", "enumerated", report.r_bar)
         if n <= ENUMERATED_B_BAR_MAX:
-            all_report, _ = enumerate_sharded(n, ALL, shards=shards, jobs=jobs)
+            all_report, _ = enumerate_sharded(n, ALL, jobs=jobs)
             compare(n, "b_bar", "enumerated", all_report.b_bar)
         compare(n, "b_bar", "burnside", burnside_b_bar(n))
     return cells

@@ -1,8 +1,13 @@
 """The command line surface, driven in-process through main()."""
 
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
-from interweave import canonical, is_canonical, parse_tuple
+from interweave import canonical, enumeration, is_canonical, parse_tuple
 from interweave.cli import main
 from interweave.enumeration import LIST_FILTERS
 
@@ -16,6 +21,10 @@ def run(capsys, *argv):
 def block_to_dict(out):
     pairs = (line.split(": ", 1) for line in out.strip().splitlines())
     return {key: value for key, value in pairs}
+
+
+def without_elapsed(out):
+    return [line for line in out.splitlines() if not line.startswith("elapsed:")]
 
 
 # -- count ---------------------------------------------------------------------
@@ -69,22 +78,14 @@ def test_count_progress_on_stderr(capsys):
     assert "candidates examined" in err
 
 
-def test_count_progress_under_jobs_reports_each_shard(capsys):
-    def counts(text):
-        return [line for line in text.splitlines() if not line.startswith("elapsed:")]
-
-    _, quiet, _ = run(capsys, "count", "--n", "3", "--jobs", "2")
+def test_count_progress_under_jobs_matches_in_process(capsys):
+    _, single_out, single_err = run(capsys, "count", "--n", "3", "--progress")
     code, out, err = run(capsys, "count", "--n", "3", "--jobs", "2", "--progress")
     assert code == 0
-    assert counts(out) == counts(quiet)
-    examined = {}
-    for line in err.splitlines():
-        shard, rest = line.split(": ", 1)
-        assert rest.endswith(" candidates examined")
-        assert shard not in examined
-        examined[shard] = int(rest.split()[0])
-    assert sorted(examined) == ["shard 0/2", "shard 1/2"]
-    assert sum(examined.values()) == 45
+    assert without_elapsed(out) == without_elapsed(single_out)
+    assert err.splitlines() == single_err.splitlines()
+    assert len(err.splitlines()) == 9  # one line per (first, second) prefix
+    assert err.splitlines()[-1] == "shard 0/1: 45 candidates examined"
 
 
 def test_count_refuses_order6_without_override(capsys):
@@ -93,10 +94,77 @@ def test_count_refuses_order6_without_override(capsys):
     assert "limit_override" in err
 
 
-def test_shard_and_jobs_conflict(capsys):
-    code, _, err = run(capsys, "count", "--n", "3", "--shard", "0/2", "--jobs", "2")
+@pytest.mark.parametrize("command", ("count", "list"))
+def test_shard_composes_with_jobs(capsys, command):
+    argv = (command, "--n", "4", "--shard", "1/2")
+    _, alone, _ = run(capsys, *argv)
+    code, pooled, _ = run(capsys, *argv, "--jobs", "2")
+    assert code == 0
+    assert without_elapsed(pooled) == without_elapsed(alone)
+
+
+# A worker that dies kills itself on global prefix 1, (1 2) at order 3.
+KILL_ON_PREFIX_1 = """
+import os, signal, sys
+from interweave import enumeration
+from interweave.cli import main
+
+real = enumeration.enumerate_classes
+
+def dying(cfg, *args, **kwargs):
+    if cfg.shard.index == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(cfg, *args, **kwargs)
+
+enumeration.enumerate_classes = dying  # forked workers inherit it
+sys.exit(main(["count", "--n", "3", "--jobs", "2"]))
+"""
+
+
+def test_killed_worker_exits_2_naming_a_prefix():
+    src = os.path.dirname(os.path.dirname(enumeration.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", KILL_ON_PREFIX_1],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    # The pool cannot tell which worker died, so the error names the
+    # first prefix in order without a result: prefix 1, or prefix 0 if
+    # it was still running when the pool broke.
+    named = re.search(r"^error: prefix (\d) \((\d+) (\d+)\)", proc.stderr, re.M)
+    assert named, proc.stderr
+    assert named.groups() in {("0", "1", "1"), ("1", "1", "2")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("count", "--n", "3", "--jobs", "2"),
+        ("list", "--n", "3", "--jobs", "2"),
+        ("verify", "--n-max", "3", "--jobs", "2"),
+    ),
+    ids=("count", "list", "verify"),
+)
+def test_failing_worker_exits_2_naming_its_prefix(capsys, monkeypatch, argv):
+    real = enumeration.enumerate_classes
+
+    def failing(cfg, *args, **kwargs):
+        if cfg.shard.index == 1:
+            raise RuntimeError("worker failed")
+        return real(cfg, *args, **kwargs)
+
+    # Pool workers are forked, so they inherit the patched function.
+    monkeypatch.setattr(enumeration, "enumerate_classes", failing)
+    code, _, err = run(capsys, *argv)
     assert code == 2
-    assert "mutually exclusive" in err
+    # Prefix 1 is (1 2) at orders 2 and 3 alike.
+    assert err.startswith("error: prefix 1 (1 2) of order ")
+    assert err.rstrip().endswith("failed: worker failed")
 
 
 def test_bad_shard_spec_is_usage_error(capsys):
@@ -156,12 +224,20 @@ def test_list_rotation_filter(capsys):
 
 @pytest.mark.parametrize("to_file", (False, True), ids=("stdout", "out"))
 @pytest.mark.parametrize("wanted", LIST_FILTERS)
-@pytest.mark.parametrize("jobs", (2, 3, 10))
+@pytest.mark.parametrize(
+    "shard, jobs",
+    ((None, 2), (None, 3), (None, 10), ("1/2", 2), ("2/3", 10)),
+    ids=("2", "3", "10", "shard1of2-2", "shard2of3-10"),
+)
 @pytest.mark.parametrize("n", (2, 3, 4))
-def test_list_jobs_matches_streamed_output(capsys, tmp_path, n, jobs, wanted, to_file):
-    # Order 2 has 2 prefixes and order 3 has 9, so 3 and 10 jobs leave
-    # shards with no prefix at all.
+def test_list_jobs_matches_streamed_output(
+    capsys, tmp_path, n, shard, jobs, wanted, to_file
+):
+    # Order 2 has 2 prefixes and order 3 has 9, so 3 and 10 jobs are
+    # more workers than prefixes, and shard 2/3 of order 2 has none.
     argv = ("list", "--n", str(n), "--filter", wanted)
+    if shard is not None:
+        argv += ("--shard", shard)
     _, streamed, _ = run(capsys, *argv)
     if to_file:
         target = tmp_path / "reps.txt"

@@ -413,13 +413,6 @@ def test_enumerate_sharded_collect_filters():
     assert len(rotation_rows) == 2
 
 
-def test_sharded_listing_leaves_no_temp_files(tmp_path, monkeypatch):
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    _, rows = enumerate_sharded(3, INTERWEAVINGS, shards=2, collect="all")
-    assert len(rows) == 14
-    assert not list(tmp_path.iterdir())
-
-
 def test_failed_shard_raises_and_leaves_no_temp_files(tmp_path, monkeypatch):
     # Pool workers are forked, so they inherit the patched function.
     real = enumeration.enumerate_classes
@@ -432,7 +425,7 @@ def test_failed_shard_raises_and_leaves_no_temp_files(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     monkeypatch.setattr(enumeration, "enumerate_classes", failing)
     with pytest.raises(RuntimeError, match="shard 1 failed"):
-        enumerate_sharded(3, INTERWEAVINGS, shards=2, collect="all")
+        enumerate_sharded(3, INTERWEAVINGS, shards=2, jobs=2, collect="all")
     assert not list(tmp_path.iterdir())
 
 
