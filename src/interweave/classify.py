@@ -3,8 +3,13 @@
 Two matrices code the same interweaving when a shift pair carries one
 onto the other, so a weaving structure *is* an orbit of the shift
 action.  Each orbit is identified by its canonical representative, the
-lexicographically least member; canonicity of a matrix can be checked
-directly by streaming its images and bailing on the first smaller one.
+lexicographically least member.
+
+Every orbit question here is answered by one walk over the n**2 shift
+images on row words: a word rotation for the columns, a tuple rotation
+for the rows.  Images are compared and collected as plain tuples, so
+:class:`BitMatrix` appears only in the results.  Canonicity of a matrix
+streams the walk and bails on the first smaller image.
 
 Three predicates describe a class:
 
@@ -25,9 +30,10 @@ reports them as False.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bitmatrix import BitMatrix
-from .transforms import mirror, rotate90, rotate_cols
+from .transforms import mirror, rotate90, rotate_words
 
 
 class NotInterweavingError(ValueError):
@@ -45,15 +51,20 @@ class ClassRecord:
     rotation_stable: bool
 
 
+def _images(a: BitMatrix) -> Iterator[tuple[int, ...]]:
+    """Row words of all n**2 shift images of ``a``, repeats included."""
+    n = a.n
+    for l in range(n):
+        # Unrotated, the images reuse a's own word objects, so a record
+        # whose canonical form is a row rotation of a holds no copies.
+        rows = rotate_words(a.rows, l, n) if l else a.rows
+        for k in range(n):
+            yield rows[k:] + rows[:k]
+
+
 def orbit(a: BitMatrix) -> set[BitMatrix]:
     """All distinct shift images of ``a``; between 1 and n**2 matrices."""
-    n = a.n
-    out = set()
-    for l in range(n):
-        rows = rotate_cols(a, l).rows
-        for k in range(n):
-            out.add(BitMatrix(rows[k:] + rows[:k]))
-    return out
+    return {BitMatrix(rows) for rows in set(_images(a))}
 
 
 def canonical(a: BitMatrix) -> BitMatrix:
@@ -62,7 +73,7 @@ def canonical(a: BitMatrix) -> BitMatrix:
     Constant on orbits and idempotent; the minimum is unique because
     the row-tuple order is total.
     """
-    return min(orbit(a))
+    return BitMatrix(min(_images(a)))
 
 
 def is_canonical(a: BitMatrix) -> bool:
@@ -70,14 +81,7 @@ def is_canonical(a: BitMatrix) -> bool:
 
     Short-circuits on the first smaller image found.
     """
-    n = a.n
-    rows = a.rows
-    for l in range(n):
-        shifted = rotate_cols(a, l).rows
-        for k in range(n):
-            if (k or l) and shifted[k:] + shifted[:k] < rows:
-                return False
-    return True
+    return all(image >= a.rows for image in _images(a))
 
 
 def is_weavable(a: BitMatrix) -> bool:
@@ -109,7 +113,7 @@ def is_self_mirror(a: BitMatrix) -> bool:
         raise NotInterweavingError(
             "self-mirror is defined only for weavable matrices"
         )
-    return canonical(a) == canonical(mirror(a))
+    return mirror(a).rows in set(_images(a))
 
 
 def is_rotation_stable(a: BitMatrix) -> bool:
@@ -122,23 +126,23 @@ def is_rotation_stable(a: BitMatrix) -> bool:
         raise NotInterweavingError(
             "rotation-stable is defined only for weavable matrices"
         )
-    return canonical(a) == canonical(rotate90(a))
+    return rotate90(a).rows in set(_images(a))
 
 
 def classify(a: BitMatrix) -> ClassRecord:
-    """Full class report for ``a`` from a single orbit computation.
+    """Full class report for ``a`` from a single walk over its images.
 
     A class contains a matrix's mirror (or quarter turn) exactly when
     that transform of any member lands inside the orbit, so both flags
     are orbit-membership tests here.  For non-weavable matrices the
     flags are reported as False rather than raising.
     """
-    orb = orbit(a)
+    images = set(_images(a))
     weavable = is_weavable(a)
     return ClassRecord(
-        canonical=min(orb),
-        orbit_size=len(orb),
+        canonical=BitMatrix(min(images)),
+        orbit_size=len(images),
         is_interweaving=weavable,
-        self_mirror=weavable and mirror(a) in orb,
-        rotation_stable=weavable and rotate90(a) in orb,
+        self_mirror=weavable and mirror(a).rows in images,
+        rotation_stable=weavable and rotate90(a).rows in images,
     )

@@ -25,8 +25,9 @@ mirror's or quarter turn's first row.
 The minimality scan doubles as a stabilizer count: the shift pairs
 whose image equals the matrix itself form its stabilizer, and the orbit
 size is n**2 divided by that count.  This avoids materializing image
-sets for millions of candidates; the set-based :func:`~interweave.classify.orbit`
-remains the reference behaviour and the test suite reconciles the two.
+sets for millions of candidates; :func:`~interweave.classify.classify`
+and the 2-D test oracle are the references, and the test suite
+reconciles the loop with both.
 
 Column rotation, bit reversal and the quarter turn are the word
 kernels of :mod:`interweave.transforms`: the lookup tables are built
@@ -65,6 +66,7 @@ import io
 import itertools
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, replace
 from importlib.resources import files
 from math import gcd, lcm
@@ -436,6 +438,21 @@ def _prefix_worker(task):
     return enumerate_classes(cfg, sink), block.getvalue()
 
 
+def _pool_results(workers: int, tasks: list):
+    """``_prefix_worker``'s results over ``tasks``, in order, from a pool
+    of ``workers`` processes.
+
+    The pool starts on the first ``next``, so a pool that breaks while
+    tasks are still being handed out fails there like any task.
+    Closing the generator cancels the tasks not yet started.
+    """
+    # Imported here: the pool machinery would slow every CLI start.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers) as pool:
+        yield from pool.map(_prefix_worker, tasks)
+
+
 def _run_shards(
     cfg: EnumConfig,
     jobs: int = 1,
@@ -463,14 +480,12 @@ def _run_shards(
         sink = None if wanted is None else _listing_sink(out, wanted)
         step = None if progress is None else lambda c: progress(cfg.shard, c)
         return enumerate_classes(cfg, sink, step)
-    # Imported here: the pool machinery would slow every CLI start.
-    from concurrent.futures import ProcessPoolExecutor
-
     started = time.perf_counter()
     tasks = [(replace(cfg, shard=Shard(p, len(prefixes))), wanted) for p in picked]
     merged = None
-    with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
-        results = pool.map(_prefix_worker, tasks)
+    # Closed on the way out, so a failed write does not wait for the
+    # prefixes still queued.
+    with closing(_pool_results(min(jobs, len(tasks)), tasks)) as results:
         for p in picked:
             try:
                 report, block = next(results)
@@ -537,7 +552,8 @@ def load_expected(path: Optional[str] = None) -> dict:
 
     Reads the packaged fixture by default, or any file in the same
     format: one ``order key value`` triple per line, blank lines and
-    ``#`` comments ignored.
+    ``#`` comments ignored.  A malformed or repeated line raises
+    ``ValueError`` naming its file and line.
     """
     if path is None:
         text = files("interweave").joinpath(EXPECTED_DATA).read_text()
@@ -547,6 +563,7 @@ def load_expected(path: Optional[str] = None) -> dict:
             text = handle.read()
         source = path
     expected = {}
+    first_line = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -565,6 +582,12 @@ def load_expected(path: Optional[str] = None) -> dict:
             raise ValueError(
                 f"{source}:{lineno}: order and value must be integers"
             ) from None
+        if (n, key) in first_line:
+            raise ValueError(
+                f"{source}:{lineno}: order {n} {key} repeats line "
+                f"{first_line[n, key]}"
+            )
+        first_line[n, key] = lineno
         expected[n, key] = value
     return expected
 

@@ -7,7 +7,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import oracle
-from conftest import matrices_any
+from conftest import BYTE_EDGE_ORDERS, byte_edge_matrices, matrices_any
 from interweave import (
     BitMatrix,
     NotInterweavingError,
@@ -253,6 +253,40 @@ def test_classify_consistent_with_standalone_pieces(a):
         assert rec.rotation_stable == is_rotation_stable(a)
     else:
         assert not rec.self_mirror and not rec.rotation_stable
+
+
+def _oracle_inputs():
+    rng = random.Random(7171)
+    for n in range(2, 7):
+        for _ in range(40):
+            yield _random_matrix(rng, n)
+        for _ in range(10):
+            yield _random_weavable(rng, n)
+    for n in BYTE_EDGE_ORDERS:
+        if 7 <= n <= 17:
+            yield from byte_edge_matrices(n, count=2)
+
+
+def test_classify_matches_oracle_on_every_field():
+    # classify, orbit, canonical and the predicates share one image
+    # walk, so every field is checked against the 2-D oracle instead.
+    for a in _oracle_inputs():
+        grid = oracle.words_to_grid(a.rows, a.n)
+        images = oracle.images(grid)
+        weavable = oracle.is_weavable_grid(grid)
+        self_mirror = weavable and oracle.mirror_grid(grid) in images
+        rotation_stable = weavable and oracle.rot90_grid(grid) in images
+        rec = classify(a)
+        assert oracle.words_to_grid(rec.canonical.rows, a.n) == (
+            oracle.canonical_grid(grid)
+        )
+        assert rec.orbit_size == len(images)
+        assert rec.is_interweaving == weavable
+        assert rec.self_mirror == self_mirror
+        assert rec.rotation_stable == rotation_stable
+        if weavable:
+            assert is_self_mirror(a) == self_mirror
+            assert is_rotation_stable(a) == rotation_stable
 
 
 def test_membership_flag_equals_canonical_equality():

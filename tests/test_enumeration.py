@@ -3,6 +3,9 @@
 import itertools
 import random
 import tempfile
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from functools import reduce
 
 import pytest
@@ -35,6 +38,9 @@ from interweave.enumeration import (
     VerifyCell,
     _in_orbit,
     _minimality_scan,
+    _PrefixError,
+    _prefixes,
+    _run_shards,
     _shift_tables,
 )
 
@@ -429,6 +435,47 @@ def test_failed_shard_raises_and_leaves_no_temp_files(tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def test_failed_write_cancels_pending_prefixes(tmp_path, monkeypatch):
+    # Each forked worker logs the prefix it starts; the parent's first
+    # write fails, and the prefixes still queued must never start.
+    real = enumeration.enumerate_classes
+    started = tmp_path / "started.txt"
+
+    def logged(cfg, *args, **kwargs):
+        with open(started, "a") as handle:
+            handle.write(f"{cfg.shard.index}\n")
+        time.sleep(0.1)
+        return real(cfg, *args, **kwargs)
+
+    class BrokenOut:
+        def write(self, text):
+            raise BrokenPipeError("reader went away")
+
+    cfg = EnumConfig(4, INTERWEAVINGS)
+    total = len(_prefixes(cfg, _shift_tables(4)[1]))
+    assert total == 34
+    monkeypatch.setattr(enumeration, "enumerate_classes", logged)
+    with pytest.raises(BrokenPipeError):
+        _run_shards(cfg, 2, "all", BrokenOut())
+    assert len(started.read_text().split()) < total // 2
+
+
+def test_pool_broken_while_handing_out_tasks_names_a_prefix(monkeypatch):
+    # A worker can die before the parent has handed out every task; the
+    # pool then refuses the next one, and that must name a prefix too.
+    real = ProcessPoolExecutor.submit
+    calls = itertools.count()
+
+    def submit(self, *args, **kwargs):
+        if next(calls) == 2:
+            raise BrokenProcessPool("A child process terminated abruptly")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    with pytest.raises(_PrefixError, match=r"^prefix 0 \(1 1\) of order 3 "):
+        _run_shards(EnumConfig(3, INTERWEAVINGS), 2)
+
+
 def test_progress_callback_runs():
     seen = []
     enumerate_classes(EnumConfig(3, INTERWEAVINGS), progress=seen.append)
@@ -466,6 +513,11 @@ def test_load_expected_diagnoses_bad_files(tmp_path):
     bad_value.write_text("2 b_bar seven\n")
     with pytest.raises(ValueError, match="value.txt:1"):
         load_expected(str(bad_value))
+
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("2 q_bar 999\n2 b_bar 7\n2 q_bar 1\n")
+    with pytest.raises(ValueError, match="repeated.txt:3: .* repeats line 1"):
+        load_expected(str(repeated))
 
 
 def test_verify_table_passes_small_orders():
