@@ -8,6 +8,9 @@ package's packed-word representation; the grid<->word converters below
 re-derive the bit convention from scratch.
 """
 
+from functools import lru_cache
+
+
 def words_to_grid(words, n):
     """Unpack row words into a grid; bit (n-1-j) of word i is cell (i, j)."""
     return tuple(
@@ -143,7 +146,16 @@ def all_grids(n):
 
 
 def partition_by_class(n):
-    """Map canonical grid -> orbit size, over all of B_n."""
+    """Map canonical grid -> orbit size, over all of B_n.
+
+    Returns a fresh dict; the walk over B_n runs once per order and
+    process, since several tests share it and order 4 takes seconds.
+    """
+    return dict(_partition_by_class(n))
+
+
+@lru_cache(maxsize=None)
+def _partition_by_class(n):
     sizes = {}
     for grid in all_grids(n):
         rep = canonical_grid(grid)

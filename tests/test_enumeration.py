@@ -1,7 +1,10 @@
 """Census generation, the Burnside cross-check, shard merging, verify."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -42,7 +45,9 @@ from interweave.enumeration import (
     _prefixes,
     _run_shards,
     _shift_tables,
+    _window_tables,
 )
+from interweave.transforms import reverse_words, rotate90_words
 
 SMALL_CENSUS = {
     # n: (q_count, b_bar, q_bar, m_bar, r_bar)
@@ -217,20 +222,26 @@ def test_minimality_scan_on_every_generated_shape(n):
                 assert stab * len(images) == n * n, rows
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_in_orbit_agrees_with_the_orbit_set(n):
-    rng = random.Random(6000 + n)
-    rotl, least, anchors = _shift_tables(n)
-    seen = set()
-    for trial in range(40):
+def _symmetrized(rng, n, trials=40):
+    """``trials`` random order-n matrices drawn from ``rng``; every few
+    are symmetrized, so that mirror and quarter-turn images also land in
+    the orbit at larger orders."""
+    for trial in range(trials):
         a = BitMatrix(rng.getrandbits(n) for _ in range(n))
-        # Every few trials, symmetrize so that mirror and quarter-turn
-        # targets also land in the orbit at larger orders.
         if trial % 4 == 1:
             a = a | mirror(a)
         elif trial % 4 == 2:
             for _ in range(3):
                 a = a | rotate90(a)
+        yield a
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_in_orbit_agrees_with_the_orbit_set(n):
+    rng = random.Random(6000 + n)
+    rotl, least, anchors = _shift_tables(n)
+    seen = set()
+    for a in _symmetrized(rng, n):
         members = orbit(a)
         image = act(a, ShiftPair(rng.randrange(n), rng.randrange(n)))
         unrelated = BitMatrix(rng.getrandbits(n) for _ in range(n))
@@ -249,6 +260,105 @@ def test_in_orbit_agrees_with_the_orbit_set(n):
     if n > 2:  # at order 2 every mirror image is a column shift
         assert {("mirror", True), ("mirror", False)} <= seen
         assert {("quarter", True), ("quarter", False)} <= seen
+
+
+# -- window gate ------------------------------------------------------------------
+
+def _window_sums(rows, n):
+    """(mirror, quarter-turn) window sums of ``rows``, one table entry per
+    cyclic row pair, as the census loop adds them up."""
+    mwin, rwin = _window_tables(n)
+    keys = [u << n | v for u, v in zip(rows[-1:] + rows[:-1], rows)]
+    return sum(mwin[k] for k in keys), sum(rwin[k] for k in keys)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_window_sums_are_shift_invariant(n):
+    for a in _symmetrized(random.Random(6000 + n), n):
+        sums = {
+            _window_sums(act(a, ShiftPair(k, l)).rows, n)
+            for k in range(n)
+            for l in range(n)
+        }
+        assert len(sums) == 1, a
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_window_sums_vanish_on_symmetric_matrices(n):
+    # Soundness of the gate: a matrix whose mirror or quarter turn lies
+    # in its orbit has a zero sum for that transform.
+    hits = set()
+    for a in _symmetrized(random.Random(6000 + n), n):
+        members = orbit(a)
+        msum, rsum = _window_sums(a.rows, n)
+        if mirror(a) in members:
+            hits.add("mirror")
+            assert msum == 0, a
+        if rotate90(a) in members:
+            hits.add("quarter")
+            assert rsum == 0, a
+    assert hits == {"mirror", "quarter"}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_window_sums_vanish_on_every_symmetric_class(n):
+    symmetric = {"mirror": 0, "quarter": 0}
+    for rep in oracle.partition_by_class(n):
+        members = oracle.images(rep)
+        msum, rsum = _window_sums(oracle.grid_to_words(rep), n)
+        if oracle.mirror_grid(rep) in members:
+            symmetric["mirror"] += 1
+            assert msum == 0, rep
+        if oracle.rot90_grid(rep) in members:
+            symmetric["quarter"] += 1
+            assert rsum == 0, rep
+    assert all(symmetric.values())
+
+
+def test_window_gate_spares_most_classes_the_exact_test(monkeypatch):
+    # Counts the exact tests the order-4 census makes; the gate must
+    # keep more than half of the 1 446 classes from the mirror test and
+    # leave every count as it was.  A call whose target is both the
+    # mirror and the quarter turn counts for both, so each count is an
+    # upper bound.
+    real = enumeration._in_orbit
+    calls = {"mirror": 0, "quarter": 0}
+
+    def counted(rows, target, *tables):
+        n = len(rows)
+        calls["mirror"] += target == reverse_words(rows, n)
+        calls["quarter"] += target == rotate90_words(rows, n)
+        return real(rows, target, *tables)
+
+    monkeypatch.setattr(enumeration, "_in_orbit", counted)
+    report, _ = _run(4, INTERWEAVINGS)
+    _, _, q_bar, m_bar, r_bar = SMALL_CENSUS[4]
+    assert (report.q_bar, report.m_bar, report.r_bar) == (q_bar, m_bar, r_bar)
+    assert m_bar <= calls["mirror"] < q_bar / 2
+    assert r_bar <= calls["quarter"] < q_bar / 2
+
+
+def test_tables_are_built_on_first_use_and_read_only():
+    probe = (
+        "import interweave.cli\n"
+        "from interweave.enumeration import _shift_tables, _window_tables\n"
+        "print(_shift_tables.cache_info().currsize,"
+        " _window_tables.cache_info().currsize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(enumeration.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+    assert _shift_tables(5) is _shift_tables(5)
+    assert _window_tables(5) is _window_tables(5)
+    for table in (*_shift_tables(5), *_window_tables(5)):
+        assert isinstance(table, tuple)
 
 
 # -- Burnside oracle ------------------------------------------------------------------
@@ -341,6 +451,29 @@ def test_shards_partition_records_and_candidates(n, mode):
         assert len(set(rows)) == len(rows), f"{total} shards overlap"
         assert sorted(rows) == whole_rows
         assert candidates == whole.candidates_examined
+
+
+def _assert_phase_counts_add_up(report, mode):
+    classes = report.q_bar if mode == INTERWEAVINGS else report.b_bar
+    assert report.candidates_examined == (
+        report.rejected_weavability + report.rejected_minimality + classes
+    )
+    if mode == ALL:  # all mode rejects nothing for weavability
+        assert report.rejected_weavability == 0
+
+
+@pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_phase_counters_add_up_to_the_candidates(n, mode):
+    for total in range(1, 8):
+        for index in range(total):
+            report, _ = _run(n, mode, shard=Shard(index, total))
+            _assert_phase_counts_add_up(report, mode)
+    merged = _run_shards(EnumConfig(n, mode), jobs=2)
+    _assert_phase_counts_add_up(merged, mode)
+    if n == 4:  # both phases reject something here
+        assert merged.rejected_minimality > 0
+        assert (merged.rejected_weavability > 0) == (mode == INTERWEAVINGS)
 
 
 @pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
