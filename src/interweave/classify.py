@@ -58,8 +58,10 @@ def _images(a: BitMatrix) -> Iterator[tuple[int, ...]]:
         # Unrotated, the images reuse a's own word objects, so a record
         # whose canonical form is a row rotation of a holds no copies.
         rows = rotate_words(a.rows, l, n) if l else a.rows
+        # Each row rotation is one slice of the doubled tuple.
+        rows += rows
         for k in range(n):
-            yield rows[k:] + rows[:k]
+            yield rows[k : k + n]
 
 
 def orbit(a: BitMatrix) -> set[BitMatrix]:
@@ -81,7 +83,10 @@ def is_canonical(a: BitMatrix) -> bool:
 
     Short-circuits on the first smaller image found.
     """
-    return all(image >= a.rows for image in _images(a))
+    rows = a.rows
+    # Image (k, 0) puts row k on top, so a smaller row rules a out
+    # before the walk starts.
+    return rows[0] == min(rows) and all(map(rows.__le__, _images(a)))
 
 
 def is_weavable(a: BitMatrix) -> bool:

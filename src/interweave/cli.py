@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--limit-override",
             action="store_true",
-            help="allow orders 6 and up (multi-hour enumerations)",
+            help="allow order 6 (about 18 CPU minutes for a full run)",
         )
         p.add_argument(
             "--progress",

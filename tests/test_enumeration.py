@@ -9,6 +9,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -39,8 +40,9 @@ from interweave import (
 from interweave.enumeration import (
     LIST_FILTERS,
     VerifyCell,
+    _head_scan,
     _in_orbit,
-    _minimality_scan,
+    _last_row_scan,
     _PrefixError,
     _prefixes,
     _run_shards,
@@ -85,7 +87,13 @@ def test_large_orders_gated_behind_override():
     with pytest.raises(ValueError):
         EnumConfig(6)
     assert EnumConfig(6, limit_override=True).n == 6
-    assert EnumConfig(8, limit_override=True).n == 8
+
+
+def test_enumeration_is_capped_at_order_6():
+    # Order 7 is about 1.2e13 candidates; the override does not reach it.
+    assert enumeration.MAX_ENUM_ORDER == 6
+    with pytest.raises(ValueError, match=r"order must be in \[2, 6\], got 7"):
+        EnumConfig(7, limit_override=True)
 
 
 # -- census values ------------------------------------------------------------------
@@ -202,24 +210,99 @@ def test_anchors_are_the_rotations_onto_the_least(n):
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
-def test_minimality_scan_on_every_generated_shape(n):
+def test_scan_halves_on_every_generated_shape(n):
     # Every tuple the generator could build, over the full word range:
     # a necklace first row, later rows rotating to nothing below it.
+    # The head half decides from the first n - 1 rows alone, and the
+    # last-row half resumes the pairs it leaves tied.
     rotl, least, anchors = _shift_tables(n)
     words = range(1 << n)
+    decided = {"head": 0, "last row": 0}
     for first in words:
         if least[first] != first:
             continue
         later = [w for w in words if least[w] >= first]
-        for tail in itertools.product(later, repeat=n - 1):
-            rows = (first,) + tail
-            grid = oracle.words_to_grid(rows, n)
-            images = oracle.images(grid)
-            stab = _minimality_scan(rows, rotl, least, anchors, n)
-            if min(images) != grid:
-                assert stab == 0, rows
+        for mid in itertools.product(later, repeat=n - 2):
+            head = (first,) + mid
+            tied = _head_scan(head, rotl, least, anchors, n)
+            for w in later:
+                rows = head + (w,)
+                grid = oracle.words_to_grid(rows, n)
+                images = oracle.images(grid)
+                if tied is None:
+                    decided["head"] += 1
+                    assert min(images) != grid, rows
+                    continue
+                stab = _last_row_scan(rows, tied, rotl, least, anchors, n)
+                if min(images) != grid:
+                    decided["last row"] += 1
+                    assert stab == 0, rows
+                else:
+                    assert stab * len(images) == n * n, rows
+    assert decided["last row"] > 0
+    assert (decided["head"] > 0) == (n > 2)  # order 2 has no head pair to compare
+
+
+def test_order6_prefixes_match_brute_force():
+    # The smallest order-6 prefixes, the last six, with three middle
+    # rows each: their tuples are every (first, second) + three later
+    # rows, and the classes are exactly the weavable canonical ones, in
+    # order.
+    cfg = EnumConfig(6, limit_override=True)
+    prefixes = _prefixes(cfg, _shift_tables(6)[1])
+    assert len(prefixes) == 384
+    smallest = [p for p, (_, allowed) in enumerate(prefixes) if len(allowed) == 6]
+    assert smallest == list(range(378, 384))
+    classes = 0
+    for p in smallest:
+        prefix, allowed = prefixes[p]
+        expected, unweavable, not_canonical = [], 0, 0
+        for mid in itertools.product(allowed, repeat=4):
+            a = BitMatrix(prefix + mid)
+            if not is_weavable(a):
+                unweavable += 1
+            elif not is_canonical(a):
+                not_canonical += 1
             else:
-                assert stab * len(images) == n * n, rows
+                expected.append(classify(a))
+
+        records = []
+        report = enumerate_classes(replace(cfg, shard=Shard(p, 384)), records.append)
+        assert records == expected, p
+        assert report.candidates_examined == 6**4
+        assert report.rejected_weavability == unweavable
+        assert report.rejected_minimality == not_canonical
+        assert report.q_bar == len(records)
+        assert report.q_count == sum(rec.orbit_size for rec in records)
+        assert report.m_bar == sum(rec.self_mirror for rec in records)
+        assert report.r_bar == sum(rec.rotation_stable for rec in records)
+        classes += len(records)
+    assert classes > 0
+
+
+def test_head_scan_decides_order5_rejects_once_per_head(monkeypatch):
+    # A head whose shift image is already smaller rejects all of its
+    # weavable last rows at once; at order 5 that is 127 666 of the
+    # 309 559 minimality rejects.
+    real = enumeration._head_scan
+    decided = 0
+
+    def counted(head, rotl, least, anchors, n):
+        nonlocal decided
+        tied = real(head, rotl, least, anchors, n)
+        if tied is None:
+            decided += sum(
+                is_weavable(BitMatrix(head + (w,)))
+                for w in range(head[0], 1 << n)
+                if least[w] >= head[0]
+            )
+        return tied
+
+    monkeypatch.setattr(enumeration, "_head_scan", counted)
+    report = enumerate_classes(EnumConfig(5))
+    assert report.q_bar == 705366
+    assert report.rejected_minimality == 309559
+    assert decided == 127666
 
 
 def _symmetrized(rng, n, trials=40):
