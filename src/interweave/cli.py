@@ -10,7 +10,7 @@ Subcommands:
                 the packaged reference constants
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error
-or a failed worker.
+or a failed prefix (in this process or in a worker).
 Counts print as exact integers with no grouping so output diffs cleanly
 against the reference fixture.
 """

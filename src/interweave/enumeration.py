@@ -80,14 +80,15 @@ shard i of t takes every t-th of them from the i-th on.  Dealing them
 round-robin balances the shards without a work estimate.  Shards merge
 by addition, so large runs parallelize with no shared state.
 
-Under a process pool the prefix is also the unit of work.  Each task
-runs one prefix, as shard p of P where P is the prefix count, and
-returns its report and its listing block.  The classes of one prefix
-form one contiguous run of the sorted listing, so the parent writes the
-blocks in prefix order as they arrive and adds up the reports, without
-sorting or comparing anything.  The parent holds only blocks that finish
-ahead of their turn, so memory follows the largest blocks, not the
-whole listing.
+The prefix is also the unit of every run.  :func:`_run_shards` runs
+each prefix of its shard as one task, shard p of P where P is the prefix
+count, which returns the prefix's report and its listing block.  With
+one job the tasks run in this process; with more they run on a process
+pool.  The classes of one prefix form one contiguous run of the sorted
+listing, so the driver writes the blocks in prefix order as they arrive
+and adds up the reports, without sorting or comparing anything.  Memory
+follows the largest prefix block, not the whole listing.  Progress, the
+merge and a failed prefix take one path with or without a pool.
 """
 
 from __future__ import annotations
@@ -563,53 +564,49 @@ def merge_reports(a: CountReport, b: CountReport) -> CountReport:
     )
 
 
-def matches_list_filter(rec: ClassRecord, wanted: str) -> bool:
-    """Whether ``rec`` is listed under the list filter ``wanted``, one of
-    :data:`LIST_FILTERS`: every interweaving, or only the self-mirror or
-    rotation-stable ones (both flags are False off interweavings)."""
-    if wanted == "mirror":
-        return rec.self_mirror
-    if wanted == "rotation":
-        return rec.rotation_stable
-    return rec.is_interweaving
-
-
-def _listing_sink(out, wanted: str) -> Callable[[ClassRecord], None]:
-    """Sink that writes each record listed under ``wanted`` to the text
-    stream ``out`` as one tuple line."""
-
-    def sink(rec: ClassRecord):
-        if matches_list_filter(rec, wanted):
-            out.write(format_tuple(rec.canonical) + "\n")
-
-    return sink
-
-
 class _PrefixError(RuntimeError):
-    """A pool task failed; names its prefix and chains the cause."""
+    """A prefix task failed, in this process or in a pool worker; names
+    its prefix and chains the cause."""
 
 
 def _prefix_worker(task):
-    """Pool worker: run one prefix; return its report and its listing
-    block (empty without a list filter)."""
+    """Run one prefix, the task ``(cfg, wanted)``.  Return its report and
+    its listing block: one tuple line per class listed under the list
+    filter ``wanted``, or nothing when ``wanted`` is None."""
     cfg, wanted = task
+    if wanted is None:
+        return enumerate_classes(cfg), ""
+    # "all" lists every interweaving; the symmetry flags are False off
+    # interweavings.
+    flag = {"mirror": "self_mirror", "rotation": "rotation_stable"}.get(
+        wanted, "is_interweaving"
+    )
     block = io.StringIO()
-    sink = None if wanted is None else _listing_sink(block, wanted)
+
+    def sink(rec: ClassRecord):
+        if getattr(rec, flag):
+            block.write(format_tuple(rec.canonical) + "\n")
+
     return enumerate_classes(cfg, sink), block.getvalue()
 
 
-def _pool_results(workers: int, tasks: list):
-    """``_prefix_worker``'s results over ``tasks``, in order, from a pool
-    of ``workers`` processes.
+def _prefix_results(jobs: int, tasks: list):
+    """``_prefix_worker``'s results over ``tasks``, in order.
 
-    The pool starts on the first ``next``, so a pool that breaks while
-    tasks are still being handed out fails there like any task.
-    Closing the generator cancels the tasks not yet started.
+    The builtin ``map`` runs the tasks in this process, unless ``jobs``
+    workers can take two or more of them at once: then a pool of at most
+    ``jobs`` processes runs them.  The pool starts on the first ``next``,
+    so a pool that breaks while tasks are still being handed out fails
+    there like any task.  Closing the generator cancels the tasks not
+    yet started.
     """
+    if jobs < 2 or len(tasks) < 2:
+        yield from map(_prefix_worker, tasks)
+        return
     # Imported here: the pool machinery would slow every CLI start.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers) as pool:
+    with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
         yield from pool.map(_prefix_worker, tasks)
 
 
@@ -620,32 +617,35 @@ def _run_shards(
     out=None,
     progress: Optional[Callable[[Shard, int], None]] = None,
 ) -> CountReport:
-    """Run ``cfg``'s shard; with a list filter ``wanted``, also write the
-    listing, one tuple line per class in lexicographic order, to the text
-    stream ``out``.  ``progress(cfg.shard, candidates)`` fires after each
-    (first, second) prefix with the running candidate count.
+    """Run ``cfg``'s shard prefix by prefix; with a list filter ``wanted``,
+    also write the listing, one tuple line per class in lexicographic
+    order, to the text stream ``out``.  ``progress(cfg.shard, candidates)``
+    fires after each (first, second) prefix with the running candidate
+    count.
 
-    With ``jobs == 1`` the shard runs in-process and streams straight to
-    ``out``.  Otherwise a pool of at most ``jobs`` workers, and no more
-    than the shard has prefixes, runs one task per prefix in prefix
-    order; the parent writes each prefix's block and adds up its report
-    as it arrives, so output and progress are those of the in-process
-    run.  The report's ``elapsed`` is then the parent's wall time.  A
-    task that fails or whose worker dies raises ``_PrefixError``.
+    Each prefix p of the shard is one task, run as shard p of P, where P
+    is the prefix count, in this process or on a pool of at most ``jobs``
+    workers (see :func:`_prefix_results`).  Either way the parent writes
+    each prefix's block and adds up its report in prefix order, and a
+    task that fails, or whose worker dies, raises ``_PrefixError``
+    naming its prefix.  The report's ``elapsed`` is the parent's wall
+    time.  ``jobs`` below 1 raises ``ValueError``.
     """
-    index, total = cfg.shard
-    prefixes = _prefixes(cfg, _shift_tables(cfg.n)[1]) if jobs > 1 else ()
-    picked = range(index, len(prefixes), total)
-    if not picked:  # one job, or a shard without a prefix to hand out
-        sink = None if wanted is None else _listing_sink(out, wanted)
-        step = None if progress is None else lambda c: progress(cfg.shard, c)
-        return enumerate_classes(cfg, sink, step)
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     started = time.perf_counter()
+    index, total = cfg.shard
+    prefixes = _prefixes(cfg, _shift_tables(cfg.n)[1])
+    picked = range(index, len(prefixes), total)
     tasks = [(replace(cfg, shard=Shard(p, len(prefixes))), wanted) for p in picked]
-    merged = None
+    # Zero counts, labelled as none of the P prefixes.
+    merged = CountReport(
+        cfg.n, cfg.mode, 0, 0, 0, 0, 0 if cfg.mode == ALL else None, 0, 0.0,
+        shard_total=len(prefixes), shard_indices=frozenset(),
+    )
     # Closed on the way out, so a failed write does not wait for the
     # prefixes still queued.
-    with closing(_pool_results(min(jobs, len(tasks)), tasks)) as results:
+    with closing(_prefix_results(jobs, tasks)) as results:
         for p in picked:
             try:
                 report, block = next(results)
@@ -656,7 +656,7 @@ def _run_shards(
                 ) from exc
             if wanted is not None:
                 out.write(block)
-            merged = report if merged is None else merge_reports(merged, report)
+            merged = merge_reports(merged, report)
             if progress is not None:
                 progress(cfg.shard, merged.candidates_examined)
     return replace(
@@ -678,12 +678,13 @@ def enumerate_sharded(
     """Run a full census on ``jobs`` workers and label it as ``shards``
     merged slices.
 
-    ``jobs`` defaults to ``min(shards, cpu_count)``.  One job runs
-    in-process; more run the (first, second) prefixes in a process pool
-    (see :func:`_run_shards`).  Returns ``(report, rows)`` where ``rows``
-    is the lexicographically sorted list of canonical row tuples matching
-    ``collect`` ("all", "mirror" or "rotation"), read back from the
-    streamed listing, or None when ``collect`` is None.
+    ``jobs`` defaults to ``min(shards, cpu_count)``; below 1 it raises
+    ``ValueError``.  The run goes prefix by prefix through
+    :func:`_run_shards`: in this process with one job, on a process pool
+    with more.  Returns ``(report, rows)`` where ``rows`` is the
+    lexicographically sorted list of canonical row tuples listed under
+    the list filter ``collect``, read back from the streamed listing, or
+    None when ``collect`` is None.
     """
     if shards < 1:
         raise ValueError(f"shard count must be positive, got {shards}")
@@ -778,13 +779,16 @@ def verify_table(
     Interweaving counts are always enumerated.  The all-classes count
     is enumerated up to order ``ENUMERATED_B_BAR_MAX`` and checked by
     the Burnside formula at every order, so the two independent methods
-    confirm each other where both run.  Mismatches are reported in the
-    returned cells, never raised.
+    confirm each other where both run.  Each census runs through
+    :func:`_run_shards` on ``jobs`` workers (default 1; below 1 raises
+    ``ValueError``).  Mismatches are reported in the returned cells,
+    never raised.
     """
     if not 2 <= n_max <= 5:
         raise ValueError(f"n_max must be in [2, 5], got {n_max}")
     if expected is None:
         expected = load_expected()
+    jobs = 1 if jobs is None else jobs
     cells = []
 
     def compare(n, key, method, actual):
@@ -797,13 +801,11 @@ def verify_table(
         )
 
     for n in range(2, n_max + 1):
-        report, _ = enumerate_sharded(n, INTERWEAVINGS, jobs=jobs)
-        compare(n, "q_count", "enumerated", report.q_count)
-        compare(n, "q_bar", "enumerated", report.q_bar)
-        compare(n, "m_bar", "enumerated", report.m_bar)
-        compare(n, "r_bar", "enumerated", report.r_bar)
+        report = _run_shards(EnumConfig(n, INTERWEAVINGS), jobs)
+        for key in ("q_count", "q_bar", "m_bar", "r_bar"):
+            compare(n, key, "enumerated", getattr(report, key))
         if n <= ENUMERATED_B_BAR_MAX:
-            all_report, _ = enumerate_sharded(n, ALL, jobs=jobs)
+            all_report = _run_shards(EnumConfig(n, ALL), jobs)
             compare(n, "b_bar", "enumerated", all_report.b_bar)
         compare(n, "b_bar", "burnside", burnside_b_bar(n))
     return cells

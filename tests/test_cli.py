@@ -1,5 +1,6 @@
 """The command line surface, driven in-process through main()."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -167,6 +168,62 @@ def test_failing_worker_exits_2_naming_its_prefix(capsys, monkeypatch, argv):
     assert err.rstrip().endswith("failed: worker failed")
 
 
+@pytest.mark.parametrize("jobs", ((), ("--jobs", "2")), ids=("in-process", "jobs2"))
+@pytest.mark.parametrize(
+    "argv",
+    (("count", "--n", "3"), ("list", "--n", "3"), ("verify", "--n-max", "3")),
+    ids=("count", "list", "verify"),
+)
+def test_failed_prefix_exits_2_naming_it(capsys, monkeypatch, argv, jobs):
+    # The census loop fails on the head (1, 2), which at order 3 is prefix
+    # 1; a run with or without a pool takes the same failure path.
+    real = enumeration._head_scan
+
+    def failing(head, *args):
+        if head == (1, 2):
+            raise RuntimeError("census loop failed")
+        return real(head, *args)
+
+    # Pool workers are forked, so they inherit the patched function.
+    monkeypatch.setattr(enumeration, "_head_scan", failing)
+    code, _, err = run(capsys, *argv, *jobs)
+    assert code == 2
+    assert err == "error: prefix 1 (1 2) of order 3 failed: census loop failed\n"
+
+
+# Runs count, list and verify through main, with the extra arguments of
+# the command line, and prints which pool modules they imported.
+POOL_MODULES_AFTER_RUNS = """
+import contextlib, io, sys
+from interweave.cli import main
+
+extra = sys.argv[1:]
+runs = (["count", "--n", "4"], ["list", "--n", "4"], ["verify", "--n-max", "3"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv + extra) for argv in runs]
+assert codes == [0, 0, 0], codes
+print(*(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "jobs, imported",
+    (((), ""), (("--jobs", "2"), "concurrent.futures multiprocessing")),
+    ids=("in-process", "jobs2"),
+)
+def test_in_process_runs_import_no_pool_machinery(jobs, imported):
+    src = os.path.dirname(os.path.dirname(enumeration.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_MODULES_AFTER_RUNS, *jobs],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == imported
+
+
 def test_bad_shard_spec_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["count", "--n", "3", "--shard", "nope"])
@@ -248,6 +305,17 @@ def test_list_jobs_matches_streamed_output(
         code, parallel, _ = run(capsys, *argv, "--jobs", str(jobs))
     assert code == 0
     assert parallel == streamed
+
+
+# sha256 of `interweave list --n 5`, the 705 366 interweaving classes.
+ORDER5_LISTING_SHA256 = "772565c738b1cc8e325dc491076c7a2d5730c674a3665964aa2797d3268059a0"
+
+
+@pytest.mark.parametrize("jobs", ((), ("--jobs", "2")), ids=("in-process", "jobs2"))
+def test_list_order5_digest(capsys, jobs):
+    code, out, _ = run(capsys, "list", "--n", "5", *jobs)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDER5_LISTING_SHA256
 
 
 def test_list_to_file(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Census generation, the Burnside cross-check, shard merging, verify."""
 
+import io
 import itertools
 import os
 import random
@@ -28,6 +29,7 @@ from interweave import (
     classify,
     enumerate_classes,
     enumerate_sharded,
+    format_tuple,
     is_canonical,
     is_weavable,
     load_expected,
@@ -690,6 +692,53 @@ def test_pool_broken_while_handing_out_tasks_names_a_prefix(monkeypatch):
     monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
     with pytest.raises(_PrefixError, match=r"^prefix 0 \(1 1\) of order 3 "):
         _run_shards(EnumConfig(3, INTERWEAVINGS), 2)
+
+
+# The reference for a listing: each list filter's test on a record.
+LISTED = {
+    "all": lambda rec: rec.is_interweaving,
+    "mirror": lambda rec: rec.self_mirror,
+    "rotation": lambda rec: rec.rotation_stable,
+}
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_prefix_driver_equals_enumerate_classes(n, mode, jobs):
+    # The driver runs a shard prefix by prefix, in this process or on a
+    # pool; one enumerate_classes call over the whole shard is the
+    # reference.  Order 2 with 3 or 4 shards gives empty shards.
+    empty_shards = 0
+    for total in range(1, 5):
+        for index in range(total):
+            cfg = EnumConfig(n, mode, shard=Shard(index, total))
+            records = []
+            reference = replace(enumerate_classes(cfg, records.append), elapsed=0.0)
+            empty_shards += reference.candidates_examined == 0
+            assert replace(_run_shards(cfg, jobs), elapsed=0.0) == reference
+            for wanted in LIST_FILTERS:
+                out = io.StringIO()
+                report = _run_shards(cfg, jobs, wanted, out)
+                assert replace(report, elapsed=0.0) == reference
+                assert out.getvalue() == "".join(
+                    format_tuple(rec.canonical) + "\n"
+                    for rec in records
+                    if LISTED[wanted](rec)
+                )
+            assert reference.b_bar == (None if mode == INTERWEAVINGS else len(records))
+    # Order 2 has 2 interweaving prefixes, so 2/3, 2/4 and 3/4 are empty.
+    assert empty_shards == (3 if (n, mode) == (2, INTERWEAVINGS) else 0)
+
+
+@pytest.mark.parametrize("jobs", (0, -1))
+def test_library_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be positive"):
+        _run_shards(EnumConfig(3), jobs)
+    with pytest.raises(ValueError, match="jobs must be positive"):
+        enumerate_sharded(3, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be positive"):
+        verify_table(3, jobs=jobs)
 
 
 def test_progress_callback_runs():
