@@ -10,7 +10,8 @@ Subcommands:
                 the packaged reference constants
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error
-or a failed prefix (in this process or in a worker).
+or a failed prefix (in this process or in a worker).  A failed prefix
+prints its error line, then the traceback of its cause.
 Counts print as exact integers with no grouping so output diffs cleanly
 against the reference fixture.
 """
@@ -276,6 +277,15 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except (MatrixParseError, ValueError, OSError, _PrefixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, _PrefixError):
+            # Imported here, like the pool: only a failed run needs it.
+            import traceback
+
+            # The cause's own chain holds a pool worker's traceback.
+            cause = exc.__cause__
+            traceback.print_exception(
+                type(cause), cause, cause.__traceback__, file=sys.stderr
+            )
         return 2
 
 

@@ -89,6 +89,13 @@ listing, so the driver writes the blocks in prefix order as they arrive
 and adds up the reports, without sorting or comparing anything.  Memory
 follows the largest prefix block, not the whole listing.  Progress, the
 merge and a failed prefix take one path with or without a pool.
+
+The census loop, :func:`_census_loop`, hands each class on as the row
+words it already holds, with its orbit size and flags.  A prefix task
+writes a listed class's line straight from those words, so the listing
+builds no ``BitMatrix`` and no ``ClassRecord``; only
+:func:`enumerate_classes`, the library's record stream, wraps each
+class in a record.
 """
 
 from __future__ import annotations
@@ -106,13 +113,15 @@ from typing import Callable, NamedTuple, Optional
 
 from .bitmatrix import BitMatrix
 from .classify import ClassRecord
-from .formats import format_tuple
+from .formats import _format_words
 from .transforms import reverse_words, rotate90_words, rotate_words
 
 INTERWEAVINGS = "interweavings"
 ALL = "all"
 MODES = (INTERWEAVINGS, ALL)
 
+# In the order of the census loop's flags: weavable, self-mirror,
+# rotation-stable.
 LIST_FILTERS = ("all", "mirror", "rotation")
 
 MAX_ENUM_ORDER = 6
@@ -199,9 +208,10 @@ def _shift_tables(n):
     """Per-order lookup tables of the census loop, indexed by row word.
 
     ``rotl[l][w]`` is w rotated right by l places, ``least[w]`` the least
-    rotation of w, and ``anchors[w]`` the rotations l, ascending, with
-    ``rotl[l][w] == least[w]``: more than one exactly when w is periodic.
-    Built once per order and process; the tuples are read-only.
+    rotation of w, ``anchors[w]`` the rotations l, ascending, with
+    ``rotl[l][w] == least[w]``: more than one exactly when w is periodic,
+    and ``brev[w]`` w with its n bits reversed.  Built once per order and
+    process; the tuples are read-only.
     """
     words = range(1 << n)
     rotl = tuple(rotate_words(words, l, n) for l in range(n))
@@ -209,7 +219,7 @@ def _shift_tables(n):
     anchors = tuple(
         tuple(l for l in range(n) if rotl[l][w] == least[w]) for w in words
     )
-    return rotl, least, anchors
+    return rotl, least, anchors, reverse_words(words, n)
 
 
 # Weight c[p] of the 2x2 window pattern p = top << 2 | bottom, its two
@@ -370,28 +380,29 @@ def _in_orbit(rows, target, rotl, least, anchors, n):
     return False
 
 
-def enumerate_classes(
+def _census_loop(
     cfg: EnumConfig,
-    sink: Optional[Callable[[ClassRecord], None]] = None,
+    emit: Optional[Callable[..., None]] = None,
     progress: Optional[Callable[[int], None]] = None,
 ) -> CountReport:
-    """Produce one ClassRecord per shift class of this shard's slice.
+    """The census of this shard's slice, handing each class to ``emit``
+    as ``(rows, orbit_size, weavable, self_mirror, rotation_stable)``,
+    with ``rows`` its canonical row-word tuple.
 
-    Records reach ``sink`` in lexicographic order of their canonical
-    row tuples and are never accumulated here, so memory stays O(1) in
-    the class count.  In ``interweavings`` mode only weavable classes
-    are generated; in ``all`` mode every class is, and the weaving
-    flags are filled per record.  ``progress`` (if given) receives the
-    running candidate count after each (first, second) row prefix.
+    Classes come in lexicographic order of ``rows`` and are never
+    accumulated here, so memory stays O(1) in the class count.  In
+    ``interweavings`` mode only weavable classes are generated; in
+    ``all`` mode every class is, and ``weavable`` is decided per class.
+    ``progress`` (if given) receives the running candidate count after
+    each (first, second) row prefix.
     """
     n = cfg.n
     top = (1 << n) - 1
     weavable_mode = cfg.mode == INTERWEAVINGS
     index, total = cfg.shard
 
-    rotl, least, anchors = _shift_tables(n)
+    rotl, least, anchors, brev = _shift_tables(n)
     mwin, rwin = _window_tables(n)
-    brev = reverse_words(range(1 << n), n)
     nn = n * n
 
     candidates = rejected_weavability = rejected_minimality = 0
@@ -477,16 +488,8 @@ def enumerate_classes(
                         )
                         m_bar += mhit
                         r_bar += rhit
-                if sink is not None:
-                    sink(
-                        ClassRecord(
-                            canonical=BitMatrix(head + (w,)),
-                            orbit_size=orbit_size,
-                            is_interweaving=weavable,
-                            self_mirror=mhit,
-                            rotation_stable=rhit,
-                        )
-                    )
+                if emit is not None:
+                    emit(head + (w,), orbit_size, weavable, mhit, rhit)
         if progress is not None:
             progress(candidates)
 
@@ -505,6 +508,29 @@ def enumerate_classes(
         shard_total=total,
         shard_indices=frozenset({index}),
     )
+
+
+def enumerate_classes(
+    cfg: EnumConfig,
+    sink: Optional[Callable[[ClassRecord], None]] = None,
+    progress: Optional[Callable[[int], None]] = None,
+) -> CountReport:
+    """Produce one ClassRecord per shift class of this shard's slice.
+
+    Records reach ``sink`` in lexicographic order of their canonical
+    row tuples and are never accumulated here, so memory stays O(1) in
+    the class count.  In ``interweavings`` mode only weavable classes
+    are generated; in ``all`` mode every class is, and the weaving
+    flags are filled per record.  ``progress`` (if given) receives the
+    running candidate count after each (first, second) row prefix.
+    """
+    emit = None
+    if sink is not None:
+
+        def emit(rows, *fields):
+            sink(ClassRecord(BitMatrix(rows), *fields))
+
+    return _census_loop(cfg, emit, progress)
 
 
 def burnside_b_bar(n: int) -> int:
@@ -575,19 +601,18 @@ def _prefix_worker(task):
     filter ``wanted``, or nothing when ``wanted`` is None."""
     cfg, wanted = task
     if wanted is None:
-        return enumerate_classes(cfg), ""
+        return _census_loop(cfg), ""
+    # The filter's flag among the loop's flags after the orbit size.
     # "all" lists every interweaving; the symmetry flags are False off
     # interweavings.
-    flag = {"mirror": "self_mirror", "rotation": "rotation_stable"}.get(
-        wanted, "is_interweaving"
-    )
+    pick = LIST_FILTERS.index(wanted) + 1
     block = io.StringIO()
 
-    def sink(rec: ClassRecord):
-        if getattr(rec, flag):
-            block.write(format_tuple(rec.canonical) + "\n")
+    def emit(rows, *fields):
+        if fields[pick]:
+            block.write(_format_words(rows) + "\n")
 
-    return enumerate_classes(cfg, sink), block.getvalue()
+    return _census_loop(cfg, emit), block.getvalue()
 
 
 def _prefix_results(jobs: int, tasks: list):

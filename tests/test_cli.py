@@ -110,14 +110,14 @@ import os, signal, sys
 from interweave import enumeration
 from interweave.cli import main
 
-real = enumeration.enumerate_classes
+real = enumeration._census_loop
 
 def dying(cfg, *args, **kwargs):
     if cfg.shard.index == 1:
         os.kill(os.getpid(), signal.SIGKILL)
     return real(cfg, *args, **kwargs)
 
-enumeration.enumerate_classes = dying  # forked workers inherit it
+enumeration._census_loop = dying  # forked workers inherit it
 sys.exit(main(["count", "--n", "3", "--jobs", "2"]))
 """
 
@@ -143,16 +143,16 @@ def test_killed_worker_exits_2_naming_a_prefix():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, n",
     (
-        ("count", "--n", "3", "--jobs", "2"),
-        ("list", "--n", "3", "--jobs", "2"),
-        ("verify", "--n-max", "3", "--jobs", "2"),
+        (("count", "--n", "3", "--jobs", "2"), 3),
+        (("list", "--n", "3", "--jobs", "2"), 3),
+        (("verify", "--n-max", "3", "--jobs", "2"), 2),
     ),
     ids=("count", "list", "verify"),
 )
-def test_failing_worker_exits_2_naming_its_prefix(capsys, monkeypatch, argv):
-    real = enumeration.enumerate_classes
+def test_failing_worker_exits_2_naming_its_prefix(capsys, monkeypatch, argv, n):
+    real = enumeration._census_loop
 
     def failing(cfg, *args, **kwargs):
         if cfg.shard.index == 1:
@@ -160,12 +160,15 @@ def test_failing_worker_exits_2_naming_its_prefix(capsys, monkeypatch, argv):
         return real(cfg, *args, **kwargs)
 
     # Pool workers are forked, so they inherit the patched function.
-    monkeypatch.setattr(enumeration, "enumerate_classes", failing)
+    monkeypatch.setattr(enumeration, "_census_loop", failing)
     code, _, err = run(capsys, *argv)
     assert code == 2
-    # Prefix 1 is (1 2) at orders 2 and 3 alike.
-    assert err.startswith("error: prefix 1 (1 2) of order ")
-    assert err.rstrip().endswith("failed: worker failed")
+    # Prefix 1 is (1 2) at orders 2 and 3 alike; the worker's traceback
+    # follows the error line.
+    first, rest = err.split("\n", 1)
+    assert first == f"error: prefix 1 (1 2) of order {n} failed: worker failed"
+    assert "\nRuntimeError: worker failed\n" in rest
+    assert ", in failing\n" in rest
 
 
 @pytest.mark.parametrize("jobs", ((), ("--jobs", "2")), ids=("in-process", "jobs2"))
@@ -188,7 +191,11 @@ def test_failed_prefix_exits_2_naming_it(capsys, monkeypatch, argv, jobs):
     monkeypatch.setattr(enumeration, "_head_scan", failing)
     code, _, err = run(capsys, *argv, *jobs)
     assert code == 2
-    assert err == "error: prefix 1 (1 2) of order 3 failed: census loop failed\n"
+    # The error line comes first, then the traceback of its cause.
+    first, rest = err.split("\n", 1)
+    assert first == "error: prefix 1 (1 2) of order 3 failed: census loop failed"
+    assert "\nRuntimeError: census loop failed\n" in rest
+    assert ", in failing\n" in rest
 
 
 # Runs count, list and verify through main, with the extra arguments of
@@ -307,15 +314,32 @@ def test_list_jobs_matches_streamed_output(
     assert parallel == streamed
 
 
-# sha256 of `interweave list --n 5`, the 705 366 interweaving classes.
-ORDER5_LISTING_SHA256 = "772565c738b1cc8e325dc491076c7a2d5730c674a3665964aa2797d3268059a0"
+# sha256 and line count of `interweave list --n 5 --filter F`: the
+# 705 366 interweaving classes, and the self-mirror and rotation-stable
+# ones among them.
+ORDER5_LISTINGS = {
+    "all": ("772565c738b1cc8e325dc491076c7a2d5730c674a3665964aa2797d3268059a0", 705366),
+    "mirror": ("ffbaae81f58aa598833441699216552f3d36df510c6b5472dfa1fd902fe26593", 1302),
+    "rotation": ("b9cd0c62aad3d1148905b369c7aa7251caf30fad6320b8c2d92b788762b8f935", 74),
+}
 
 
-@pytest.mark.parametrize("jobs", ((), ("--jobs", "2")), ids=("in-process", "jobs2"))
-def test_list_order5_digest(capsys, jobs):
-    code, out, _ = run(capsys, "list", "--n", "5", *jobs)
+@pytest.mark.parametrize(
+    "wanted, jobs",
+    (
+        ("all", ()),
+        ("all", ("--jobs", "2")),
+        ("mirror", ()),
+        ("rotation", ()),
+    ),
+    ids=("in-process", "jobs2", "mirror", "rotation"),
+)
+def test_list_order5_digest(capsys, wanted, jobs):
+    code, out, _ = run(capsys, "list", "--n", "5", "--filter", wanted, *jobs)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == ORDER5_LISTING_SHA256
+    digest, lines = ORDER5_LISTINGS[wanted]
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_list_to_file(capsys, tmp_path):

@@ -203,12 +203,13 @@ def _rotations_by_string(word, n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_anchors_are_the_rotations_onto_the_least(n):
-    _, least, anchors = _shift_tables(n)
+    _, least, anchors, brev = _shift_tables(n)
     for w in range(1 << n):
         rotations = _rotations_by_string(w, n)
         assert least[w] == min(rotations)
         expected = {l for l in range(n) if rotations[l] == least[w]}
         assert anchors[w] and set(anchors[w]) == expected
+        assert brev[w] == int(format(w, f"0{n}b")[::-1], 2)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -217,7 +218,7 @@ def test_scan_halves_on_every_generated_shape(n):
     # a necklace first row, later rows rotating to nothing below it.
     # The head half decides from the first n - 1 rows alone, and the
     # last-row half resumes the pairs it leaves tied.
-    rotl, least, anchors = _shift_tables(n)
+    rotl, least, anchors, _ = _shift_tables(n)
     words = range(1 << n)
     decided = {"head": 0, "last row": 0}
     for first in words:
@@ -324,7 +325,7 @@ def _symmetrized(rng, n, trials=40):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_in_orbit_agrees_with_the_orbit_set(n):
     rng = random.Random(6000 + n)
-    rotl, least, anchors = _shift_tables(n)
+    rotl, least, anchors, _ = _shift_tables(n)
     seen = set()
     for a in _symmetrized(rng, n):
         members = orbit(a)
@@ -639,7 +640,7 @@ def test_enumerate_sharded_collect_filters():
 
 def test_failed_shard_raises_and_leaves_no_temp_files(tmp_path, monkeypatch):
     # Pool workers are forked, so they inherit the patched function.
-    real = enumeration.enumerate_classes
+    real = enumeration._census_loop
 
     def failing(cfg, *args, **kwargs):
         if cfg.shard.index == 1:
@@ -647,7 +648,7 @@ def test_failed_shard_raises_and_leaves_no_temp_files(tmp_path, monkeypatch):
         return real(cfg, *args, **kwargs)
 
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.setattr(enumeration, "enumerate_classes", failing)
+    monkeypatch.setattr(enumeration, "_census_loop", failing)
     with pytest.raises(RuntimeError, match="shard 1 failed"):
         enumerate_sharded(3, INTERWEAVINGS, shards=2, jobs=2, collect="all")
     assert not list(tmp_path.iterdir())
@@ -656,7 +657,7 @@ def test_failed_shard_raises_and_leaves_no_temp_files(tmp_path, monkeypatch):
 def test_failed_write_cancels_pending_prefixes(tmp_path, monkeypatch):
     # Each forked worker logs the prefix it starts; the parent's first
     # write fails, and the prefixes still queued must never start.
-    real = enumeration.enumerate_classes
+    real = enumeration._census_loop
     started = tmp_path / "started.txt"
 
     def logged(cfg, *args, **kwargs):
@@ -672,7 +673,7 @@ def test_failed_write_cancels_pending_prefixes(tmp_path, monkeypatch):
     cfg = EnumConfig(4, INTERWEAVINGS)
     total = len(_prefixes(cfg, _shift_tables(4)[1]))
     assert total == 34
-    monkeypatch.setattr(enumeration, "enumerate_classes", logged)
+    monkeypatch.setattr(enumeration, "_census_loop", logged)
     with pytest.raises(BrokenPipeError):
         _run_shards(cfg, 2, "all", BrokenOut())
     assert len(started.read_text().split()) < total // 2
@@ -729,6 +730,29 @@ def test_prefix_driver_equals_enumerate_classes(n, mode, jobs):
             assert reference.b_bar == (None if mode == INTERWEAVINGS else len(records))
     # Order 2 has 2 interweaving prefixes, so 2/3, 2/4 and 3/4 are empty.
     assert empty_shards == (3 if (n, mode) == (2, INTERWEAVINGS) else 0)
+
+
+def test_listing_builds_no_records(monkeypatch):
+    # The listing writes each line from the loop's row words: with the
+    # record and matrix constructors refusing, every filter's listing
+    # comes out as before.
+    cfg = EnumConfig(4)
+    reference = {}
+    for wanted in LIST_FILTERS:
+        out = io.StringIO()
+        _run_shards(cfg, 1, wanted, out)
+        reference[wanted] = out.getvalue()
+    assert all(reference.values())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the listing built a record or a matrix")
+
+    monkeypatch.setattr(enumeration, "ClassRecord", refuse)
+    monkeypatch.setattr(enumeration, "BitMatrix", refuse)
+    for wanted in LIST_FILTERS:
+        out = io.StringIO()
+        _run_shards(cfg, 1, wanted, out)
+        assert out.getvalue() == reference[wanted], wanted
 
 
 @pytest.mark.parametrize("jobs", (0, -1))
