@@ -27,13 +27,10 @@ from .enumeration import (
     CountReport,
     EnumConfig,
     Shard,
-    VerifyCell,
     burnside_b_bar,
     enumerate_classes,
     enumerate_sharded,
-    load_expected,
     merge_reports,
-    verify_table,
 )
 from .formats import (
     MatrixParseError,
@@ -55,6 +52,7 @@ from .transforms import (
     rotate_rows_up,
     shift_matrix,
 )
+from .verify import VerifyCell, load_expected, verify_table
 
 __version__ = "1.0.0"
 

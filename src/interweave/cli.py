@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error
 or a failed prefix (in this process or in a worker).  A failed prefix
-prints its error line, then the traceback of its cause.
+prints its error line, then the traceback of its cause; a failed
+``list --out FILE`` removes FILE, so no truncated listing is left.
 Counts print as exact integers with no grouping so output diffs cleanly
 against the reference fixture.
 """
@@ -19,6 +20,8 @@ against the reference fixture.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from typing import Optional
 
@@ -31,8 +34,6 @@ from .enumeration import (
     Shard,
     _PrefixError,
     _run_shards,
-    load_expected,
-    verify_table,
 )
 from .formats import (
     MatrixParseError,
@@ -42,6 +43,7 @@ from .formats import (
     render_chart,
     render_pbm,
 )
+from .verify import load_expected, verify_table
 
 
 def _parse_shard(text: str) -> Shard:
@@ -98,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--limit-override",
             action="store_true",
-            help="allow order 6 (about 18 CPU minutes for a full run)",
+            help="allow order 6 (about 5 CPU minutes for a full run)",
         )
         p.add_argument(
             "--progress",
@@ -211,12 +213,19 @@ def cmd_count(args) -> int:
 def cmd_list(args) -> int:
     # Built first so a bad order is refused before --out is created.
     cfg, jobs, progress = _enum_run(args, INTERWEAVINGS)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    if not args.out:
+        _run_shards(cfg, jobs, args.filter, sys.stdout, progress)
+        return 0
+    out = open(args.out, "w", encoding="utf-8")
     try:
-        _run_shards(cfg, jobs, args.filter, out, progress)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        with out:
+            _run_shards(cfg, jobs, args.filter, out, progress)
+    except BaseException:
+        # A run that fails leaves no truncated listing behind; a device
+        # such as /dev/null, or a symlink, is left alone.
+        if stat.S_ISREG(os.lstat(args.out).st_mode):
+            os.remove(args.out)
+        raise
     return 0
 
 

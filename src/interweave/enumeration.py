@@ -21,19 +21,25 @@ is the first row at the rotations ("anchors") that carry them onto it.
 
 The loop is split at the last row, which takes Read's idea one level
 deeper: what the head (the first n - 1 rows) decides is decided once
-per head, and only the last row is left per candidate.  The head's OR
+per head, and its last rows are decided all at once, as a set.  A set
+of row words is a bitset, an int with bit w standing for word w
+(Knuth's bitwise tricks, TAOCP 4A, 7.1.3; 32 bits at order 5), so a set
+is filtered with one AND and counted with one popcount.  The head's OR
 and AND fix the bits a last row must set and clear, so the last rows
-that complete a weavable tuple are one ascending sublist of the row
-list, cached per prefix under those two masks.  The minimality scan has
-two halves.  The head half, :func:`_head_scan`, compares each anchored
-image on the rows that involve head rows only: if one is already
-smaller, every last row of the head is rejected at once; otherwise the
-pairs that still tie go to the last-row half, :func:`_last_row_scan`,
-which resumes them at the first row drawn from the last row and adds
-the pairs anchored on the last row itself.  At order 5 the head half
-rejects 127 666 of the 309 559 non-canonical candidates, on 7 796 of
-the 55 125 heads; a last row that gets past it resumes 0.18 tied pairs
-on average, and two thirds of them compare nothing at all.
+that complete a weavable tuple are two table lookups ANDed with the
+prefix's row pool.  The minimality scan has two halves.  The head
+half, :func:`_head_scan`, compares each anchored image on the rows that
+involve head rows only: if one is already smaller, every last row of
+the head is rejected at once.  Otherwise each pair that still ties
+meets the last row in one row, where a rotation of the last row faces
+a head row: the last rows below it are one precomputed bitset, and
+only the one word that ties goes on to the exact last-row scan,
+:func:`_last_row_scan` (see :func:`_last_row_bits`).  The pairs
+anchored on the last row itself involve one word each, and the prefix
+decides most of them (:func:`_anchor_masks`).  At order 5 the head half
+rejects 7 796 of the 55 125 heads (127 666 of the 309 559 non-canonical
+candidates), 13 479 heads need the last-row bitsets, and the exact scan
+runs 5 643 times, against 293 016 times when it ran per last row.
 
 The symmetry pass is gated by an exact necessary condition.  Let H(A)
 count A's n**2 cyclic 2x2 windows (rows i, i+1 and columns j, j+1, mod
@@ -43,11 +49,14 @@ mirrored window, so H(mirror A) is H(A) with its patterns permuted, and
 the quarter turn likewise.  A class the mirror maps to itself therefore
 has sum_p (c[p] - c[mirror p]) * H(A)[p] = 0 for any fixed weights c,
 and the same holds for the quarter turn.  The sum splits over the n
-cyclic row pairs, one table lookup each (:func:`_window_tables`); the
-head's pairs are added up once per head, so a last row adds two.  Only
-a class whose sum is 0 gets the exact test, :func:`_in_orbit`, which
-makes every positive decision: at order 5 that is 29 154 classes for
-the mirror and 5 750 for the quarter turn, of 705 366.  The exact test
+cyclic row pairs, one table lookup each (:func:`_window_tables`).  The
+head's pairs are added up once per head, and a table per first row
+maps the sum to the bitset of the last rows w whose two pairs,
+(head[-1], w) and (w, first), cancel it, so the gate is one lookup per
+head.  Only a class whose sum is 0 gets the exact test,
+:func:`_in_orbit`, which makes every positive decision: at order 5 that
+is 29 154 classes for the mirror and 5 750 for the quarter turn, of
+705 366.  The exact test
 is anchored too: it starts only from rows that are rotations of the
 target's first row.
 
@@ -59,9 +68,10 @@ and the 2-D test oracle are the references, and the test suite
 reconciles the loop with both.
 
 Column rotation, bit reversal and the quarter turn are the word
-kernels of :mod:`interweave.transforms`: the lookup tables are built
-from them and the symmetry pass calls them, so the library and the
-census engine share one implementation of each.
+kernels of :mod:`interweave.transforms`: the lookup tables
+(:mod:`interweave.tables`) are built from them and the symmetry pass
+calls them, so the library and the census engine share one
+implementation of each.
 
 The independent cross-check for the all-classes count is Burnside's
 lemma over the shift group: pair (k, l) acting on the n-by-n index
@@ -71,7 +81,7 @@ n**2 pairs.  Exact integer arithmetic throughout — the ``2**(n*n)``
 terms outgrow 64 bits from order 8 on.
 
 Enumeration scales as roughly ``2**(n*(n-1))`` candidates.  Order 6,
-2 105 231 424 candidates and about 18 CPU minutes, is a long-running
+2 105 231 424 candidates and about 5 CPU minutes, is a long-running
 job and must be requested explicitly via ``limit_override``; order 7,
 about 1.2e13 candidates, is out of reach and refused.  Shards split the
 work by row prefix: the units are the (first, second) row pairs that
@@ -90,12 +100,13 @@ and adds up the reports, without sorting or comparing anything.  Memory
 follows the largest prefix block, not the whole listing.  Progress, the
 merge and a failed prefix take one path with or without a pool.
 
-The census loop, :func:`_census_loop`, hands each class on as the row
-words it already holds, with its orbit size and flags.  A prefix task
-writes a listed class's line straight from those words, so the listing
-builds no ``BitMatrix`` and no ``ClassRecord``; only
-:func:`enumerate_classes`, the library's record stream, wraps each
-class in a record.
+The census loop, :func:`_census_loop`, hands on each head's classes
+at once: the head's row words, bitsets over the last row for the
+classes and their flags, and the few orbit sizes below n**2.  A prefix
+task writes the head's words once and one line per listed bit, so the
+listing builds no ``BitMatrix`` and no ``ClassRecord``; only
+:func:`enumerate_classes`, the library's record stream, walks the bits
+and wraps each class in a record.
 """
 
 from __future__ import annotations
@@ -106,40 +117,38 @@ import os
 import time
 from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from importlib.resources import files
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional
 
 from .bitmatrix import BitMatrix
 from .classify import ClassRecord
 from .formats import _format_words
-from .transforms import reverse_words, rotate90_words, rotate_words
+from .tables import (
+    _bit_tables,
+    _bitset,
+    _gate_tables,
+    _select,
+    _shift_tables,
+    _window_tables,
+)
+from .transforms import rotate90_words
 
 INTERWEAVINGS = "interweavings"
 ALL = "all"
 MODES = (INTERWEAVINGS, ALL)
 
-# In the order of the census loop's flags: weavable, self-mirror,
-# rotation-stable.
+# In the order of the census loop's bitsets after the classes: weavable,
+# self-mirror, rotation-stable.
 LIST_FILTERS = ("all", "mirror", "rotation")
 
 MAX_ENUM_ORDER = 6
 # Orders below this run in seconds; a full order-6 enumeration takes
-# about 18 CPU minutes (24 sampled prefixes ran at 1.96 M candidates per
+# about 5 CPU minutes (24 sampled prefixes ran at 7.57 M candidates per
 # CPU second, for 2 105 231 424 candidates) and must be asked for
 # explicitly.
 OVERRIDE_ORDER = 6
 
 MAX_BURNSIDE_ORDER = 16
-
-# verify_table() runs the all-classes enumeration only up to this order
-# (seconds of work); beyond it the class count is covered by the exact
-# Burnside value, keeping a full verify inside a few minutes.
-ENUMERATED_B_BAR_MAX = 4
-
-EXPECTED_DATA = "data/censuses.txt"
-
 
 class Shard(NamedTuple):
     """Partition slot: this run handles the (first, second) row prefixes
@@ -201,63 +210,6 @@ class CountReport:
     shard_indices: frozenset = frozenset({0})
     rejected_weavability: int = 0
     rejected_minimality: int = 0
-
-
-@lru_cache(maxsize=None)
-def _shift_tables(n):
-    """Per-order lookup tables of the census loop, indexed by row word.
-
-    ``rotl[l][w]`` is w rotated right by l places, ``least[w]`` the least
-    rotation of w, ``anchors[w]`` the rotations l, ascending, with
-    ``rotl[l][w] == least[w]``: more than one exactly when w is periodic,
-    and ``brev[w]`` w with its n bits reversed.  Built once per order and
-    process; the tuples are read-only.
-    """
-    words = range(1 << n)
-    rotl = tuple(rotate_words(words, l, n) for l in range(n))
-    least = tuple(min(col) for col in zip(*rotl))
-    anchors = tuple(
-        tuple(l for l in range(n) if rotl[l][w] == least[w]) for w in words
-    )
-    return rotl, least, anchors, reverse_words(words, n)
-
-
-# Weight c[p] of the 2x2 window pattern p = top << 2 | bottom, its two
-# 2-bit row words.  Any fixed weights keep the gate sound.  At orders 4
-# and 5 these let through exactly the classes whose window histogram the
-# transform fixes, and up to order 8 every sum stays under 2**26 in
-# absolute value, one CPython int digit.
-_WINDOW_WEIGHTS = tuple((p + 1) ** 5 for p in range(16))
-
-
-@lru_cache(maxsize=None)
-def _window_tables(n):
-    """The window gate's mirror and quarter-turn tables for order n,
-    indexed by ``u << n | v``.
-
-    Entry ``u << n | v`` of the mirror table is the sum of
-    ``c[p] - c[mirror(p)]`` over the n cyclic 2x2 windows p of the row
-    pair (u, v), columns (j, j + 1 mod n), with c = ``_WINDOW_WEIGHTS``;
-    the quarter-turn table likewise.  ``rotl[l]`` brings each window
-    into the low two bits of both words, and the ``transforms`` kernels
-    mirror and turn it as a matrix of two 2-bit rows.
-    """
-    rotl = _shift_tables(n)[0]
-    c = _WINDOW_WEIGHTS
-    tables = []
-    for kernel in (reverse_words, rotate90_words):
-        delta = []
-        for p in range(16):
-            top, bottom = kernel((p >> 2, p & 3), 2)
-            delta.append(c[p] - c[top << 2 | bottom])
-        tables.append(
-            tuple(
-                sum(delta[(rl[u] & 3) << 2 | rl[v] & 3] for rl in rotl)
-                for u in range(1 << n)
-                for v in range(1 << n)
-            )
-        )
-    return tuple(tables)
 
 
 def _prefixes(cfg: EnumConfig, least):
@@ -380,21 +332,119 @@ def _in_orbit(rows, target, rotl, least, anchors, n):
     return False
 
 
+def _last_row_bits(head, tied, lasts, n):
+    """The last-row half of the minimality scan for every last row in the
+    bitset ``lasts`` at once: ``(classes, orbits)``, the bitset of the
+    words w with ``head + (w,)`` canonical and the orbit sizes of those
+    among them whose stabilizer is above 1, by word.
+
+    ``tied`` is :func:`_head_scan` of ``head``.  A pair (k, l, i0) with
+    k >= 1 reaches the last row at row i0, where it compares
+    ``rotl[l][w]`` with ``head[i0]``: the words below are rejected at
+    once, and only the one word that rotates onto ``head[i0]`` ties and
+    goes to :func:`_last_row_scan`.  A pair (0, l) compares the last row
+    with its own rotation, so its rejects and its ties are fixed sets
+    per l.  The pairs (n - 1, l) anchored on the last row each involve
+    the one word ``rotl[-l][first]``, and are compared on the spot.
+    """
+    rotl, least, anchors, _ = _shift_tables(n)
+    below, under, fixed = _bit_tables(n)[2:]
+    rejects = exact = 0
+    ties = []  # bitsets of the words one more shift pair fixes
+    for k, l, i0 in tied:
+        if k:
+            x = head[i0]
+            rejects |= below[l][x]
+            exact |= 1 << rotl[-l][x]
+        else:
+            rejects |= under[l]
+            ties.append(fixed[l])
+    exact &= lasts
+    classes = lasts & ~exact & ~rejects
+    for l in range(n):
+        w = rotl[-l][head[0]]
+        bit = 1 << w
+        if not classes & bit:
+            continue
+        rl = rotl[l]
+        rows = head + (w,)
+        for i in range(1, n):
+            v = rl[rows[i - 1]]
+            ri = rows[i]
+            if v != ri:
+                if v < ri:
+                    classes ^= bit
+                break
+        else:
+            ties.append(bit)
+    stabs = {}
+    for tie in ties:
+        for w in _select(range(1 << n), tie & classes):
+            stabs[w] = stabs.get(w, 1) + 1
+    for w in _select(range(1 << n), exact):
+        stab = _last_row_scan(head + (w,), tied, rotl, least, anchors, n)
+        if stab:
+            classes |= 1 << w
+            if stab > 1:
+                stabs[w] = stab
+    nn = n * n
+    return classes, {w: nn // stab for w, stab in stabs.items()}
+
+
+def _in_own_orbit(head, hits, image, n):
+    """The words w of the bitset ``hits`` for which ``image`` maps
+    ``head + (w,)`` into its own class, as a bitset."""
+    rotl, least, anchors, _ = _shift_tables(n)
+    for w in _select(range(1 << n), hits):
+        rows = head + (w,)
+        if not _in_orbit(rows, image(rows), rotl, least, anchors, n):
+            hits ^= 1 << w
+    return hits
+
+
+def _anchor_masks(first, second, n):
+    """The last rows the prefix (first, second) decides through the pairs
+    anchored on the last row, as two bitsets ``(dead, live)``.
+
+    A last row w that rotates onto ``first`` anchors the pairs (n - 1, l)
+    with ``rotl[l][w] == first``.  Row 1 of that image,
+    ``rotl[l][first]``, meets the second row: below it, w is rejected
+    for every head of the prefix (``dead``); equal to it, the pair ties
+    on and each head decides it (``live``); above it, the pair decides
+    nothing.  At order 2 the second row is the last row itself.
+    """
+    rotl = _shift_tables(n)[0]
+    dead = live = 0
+    for l in range(n):
+        v = rotl[l][first]
+        if v < second:
+            dead |= 1 << rotl[-l][first]
+        elif v == second:
+            live |= 1 << rotl[-l][first]
+    return dead, live
+
+
 def _census_loop(
     cfg: EnumConfig,
     emit: Optional[Callable[..., None]] = None,
     progress: Optional[Callable[[int], None]] = None,
 ) -> CountReport:
-    """The census of this shard's slice, handing each class to ``emit``
-    as ``(rows, orbit_size, weavable, self_mirror, rotation_stable)``,
-    with ``rows`` its canonical row-word tuple.
+    """The census of this shard's slice, handing the classes of each head
+    that has any to ``emit`` as ``(head, classes, weavable, self_mirror,
+    rotation_stable, orbits)``.
 
-    Classes come in lexicographic order of ``rows`` and are never
-    accumulated here, so memory stays O(1) in the class count.  In
-    ``interweavings`` mode only weavable classes are generated; in
-    ``all`` mode every class is, and ``weavable`` is decided per class.
-    ``progress`` (if given) receives the running candidate count after
-    each (first, second) row prefix.
+    ``head`` is the first n - 1 row words.  The next four are bitsets
+    over the last row word w, bit w standing for the class whose
+    canonical row-word tuple is ``head + (w,)``: the classes, and those
+    among them that are weavable, self-mirror and rotation-stable.
+    ``orbits`` maps the few classes whose orbit is smaller than n**2 to
+    their orbit size, by last row word.  Heads come in lexicographic
+    order, so the classes do, taking each head's bits in ascending
+    order; none are accumulated here, so memory stays O(1) in the class
+    count.  In ``interweavings`` mode only weavable classes are
+    generated; in ``all`` mode every class is.  ``progress`` (if given)
+    receives the running candidate count after each (first, second) row
+    prefix.
     """
     n = cfg.n
     top = (1 << n) - 1
@@ -402,8 +452,15 @@ def _census_loop(
     index, total = cfg.shard
 
     rotl, least, anchors, brev = _shift_tables(n)
+    covers, misses = _bit_tables(n)[:2]
     mwin, rwin = _window_tables(n)
     nn = n * n
+
+    def mirror_image(rows):
+        return tuple([brev[v] for v in rows])
+
+    def quarter_image(rows):
+        return rotate90_words(rows, n)
 
     candidates = rejected_weavability = rejected_minimality = 0
     b_bar = q_bar = m_bar = r_bar = q_count = 0
@@ -411,85 +468,88 @@ def _census_loop(
 
     # The prefixes are dealt round-robin to the shards.
     for prefix, allowed in _prefixes(cfg, least)[index::total]:
-        first = prefix[0]
+        first, second = prefix
         candidates += len(allowed) ** (n - 2)  # the tuples below
         if n == 2:  # the prefix is the whole tuple
-            heads, pool = (prefix[:1],), prefix[1:]
+            start, mids, pool = prefix[:1], ((),), prefix[1:]
         else:
-            heads = (prefix + mid for mid in itertools.product(allowed, repeat=n - 3))
-            pool = allowed
-        fits = {}  # last rows that complete a weavable tuple, by (need, forbid)
-        for head in heads:
-            ored, anded = 0, top
-            for w in head:
+            mids = itertools.product(allowed, repeat=n - 3)
+            start, pool = prefix, allowed
+        # The fold and the window sums of the head rows the prefix fixes.
+        start_or, start_and = first | start[-1], first & start[-1]
+        keys = [u << n | v for u, v in zip(start, start[1:])]
+        start_msum = sum([mwin[k] for k in keys])
+        start_rsum = sum([rwin[k] for k in keys])
+        pool_size = len(pool)
+        pool_bits = _bitset(pool)
+        # The fold rejects a 0 or all-ones last row.
+        two_colour = pool_bits & ~(1 | 1 << top)
+        dead, live = _anchor_masks(first, second, n)
+        gates = _gate_tables(n, first)
+        for mid in mids:
+            head = start + mid
+            ored, anded = start_or, start_and
+            for w in mid:
                 ored |= w
                 anded &= w
             # A last row w completes the fold when it sets every bit
             # the head leaves clear and clears every bit it sets.
-            need, forbid = top & ~ored, anded
+            fits = covers[top & ~ored] & misses[anded] & two_colour
             if weavable_mode:
-                lasts = fits.get((need, forbid))
-                if lasts is None:
-                    lasts = fits[need, forbid] = [
-                        w for w in pool if w & need == need and not w & forbid
-                    ]
-                rejected_weavability += len(pool) - len(lasts)
+                lasts = fits
+                rejected_weavability += pool_size - fits.bit_count()
+                if not lasts:
+                    continue
             else:
-                # The fold also rejects a 0 or all-ones row; every later
-                # row is >= first, so only the first can be 0.
-                lasts = pool
-                two_colour = first != 0 and top not in head
-            if not lasts:
-                continue
+                lasts = pool_bits
+                # The fold also rejects a 0 or all-ones head row; every
+                # later row is >= first, so only the first can be 0.
+                if not first or top in head:
+                    fits = 0
             tied = _head_scan(head, rotl, least, anchors, n)
             if tied is None:
-                rejected_minimality += len(lasts)
+                rejected_minimality += lasts.bit_count()
                 continue
-            # Window sums over the head's row pairs; each last row w
-            # adds the pairs (head[-1], w) and (w, first).
-            msum = rsum = 0
-            u = head[0]
-            for v in head[1:]:
-                key = u << n | v
-                msum += mwin[key]
-                rsum += rwin[key]
-                u = v
-            u <<= n
-            for w in lasts:
-                # With no tied pair and no anchor on the last row, no
-                # image ties on the first row: canonical, stabilizer 1.
-                if tied or least[w] == first:
-                    stab = _last_row_scan(head + (w,), tied, rotl, least, anchors, n)
-                    if not stab:
-                        rejected_minimality += 1
-                        continue
-                    orbit_size = nn // stab
-                else:
-                    orbit_size = nn
-                b_bar += 1
-                weavable = weavable_mode or (
-                    two_colour and w != top and w & need == need and not w & forbid
-                )
-                mhit = rhit = False
-                if weavable:
-                    q_bar += 1
-                    q_count += orbit_size
-                    # Window gate: a symmetric class has a zero window sum.
-                    wf = w << n | first
-                    mgate = msum + mwin[u | w] + mwin[wf] == 0
-                    rgate = rsum + rwin[u | w] + rwin[wf] == 0
-                    if mgate or rgate:
-                        rows = head + (w,)
-                        mhit = mgate and _in_orbit(
-                            rows, tuple([brev[v] for v in rows]), rotl, least, anchors, n
-                        )
-                        rhit = rgate and _in_orbit(
-                            rows, rotate90_words(rows, n), rotl, least, anchors, n
-                        )
-                        m_bar += mhit
-                        r_bar += rhit
-                if emit is not None:
-                    emit(head + (w,), orbit_size, weavable, mhit, rhit)
+            # With no tied pair and no live anchor on the last row, no
+            # image ties past the second row: canonical, stabilizer 1.
+            classes = lasts & ~dead
+            orbits = {}
+            if tied or classes & live:
+                classes, orbits = _last_row_bits(head, tied, classes, n)
+            count = classes.bit_count()
+            rejected_minimality += lasts.bit_count() - count
+            b_bar += count
+            weavable = classes & fits
+            mirror = rotation = 0
+            if weavable:
+                woven = weavable.bit_count()
+                q_bar += woven
+                q_count += nn * woven
+                for w, size in orbits.items():
+                    if weavable >> w & 1:
+                        q_count -= nn - size
+                # Window gate: a symmetric class has a zero window sum.
+                # The head's row pairs are added here; the gate tables
+                # add the pairs (head[-1], w) and (w, first) and map the
+                # sum to the last rows w that have it.
+                msum, rsum = start_msum, start_rsum
+                u = start[-1]
+                for v in mid:
+                    key = u << n | v
+                    msum += mwin[key]
+                    rsum += rwin[key]
+                    u = v
+                mgate, rgate = gates[u]
+                mirror = mgate.get(-msum, 0) & weavable
+                if mirror:
+                    mirror = _in_own_orbit(head, mirror, mirror_image, n)
+                rotation = rgate.get(-rsum, 0) & weavable
+                if rotation:
+                    rotation = _in_own_orbit(head, rotation, quarter_image, n)
+                m_bar += mirror.bit_count()
+                r_bar += rotation.bit_count()
+            if emit is not None and classes:
+                emit(head, classes, weavable, mirror, rotation, orbits)
         if progress is not None:
             progress(candidates)
 
@@ -526,9 +586,20 @@ def enumerate_classes(
     """
     emit = None
     if sink is not None:
+        nn = cfg.n * cfg.n
 
-        def emit(rows, *fields):
-            sink(ClassRecord(BitMatrix(rows), *fields))
+        def emit(head, classes, weavable, mirror, rotation, orbits):
+            for w in _select(range(1 << cfg.n), classes):
+                bit = 1 << w
+                sink(
+                    ClassRecord(
+                        BitMatrix(head + (w,)),
+                        orbits.get(w, nn),
+                        bool(weavable & bit),
+                        bool(mirror & bit),
+                        bool(rotation & bit),
+                    )
+                )
 
     return _census_loop(cfg, emit, progress)
 
@@ -602,15 +673,19 @@ def _prefix_worker(task):
     cfg, wanted = task
     if wanted is None:
         return _census_loop(cfg), ""
-    # The filter's flag among the loop's flags after the orbit size.
-    # "all" lists every interweaving; the symmetry flags are False off
-    # interweavings.
+    # The filter's bitset among the loop's bitsets after the classes.
+    # "all" lists every interweaving; the symmetry bitsets hold
+    # interweavings only.
     pick = LIST_FILTERS.index(wanted) + 1
     block = io.StringIO()
+    ends = [f"{w}\n" for w in range(1 << cfg.n)]
 
-    def emit(rows, *fields):
-        if fields[pick]:
-            block.write(_format_words(rows) + "\n")
+    def emit(head, *sets):
+        listed = sets[pick]
+        if listed:
+            # Every line of the head starts with the head's words.
+            text = _format_words(head) + " "
+            block.write(text + text.join(_select(ends, listed)))
 
     return _census_loop(cfg, emit), block.getvalue()
 
@@ -726,111 +801,3 @@ def enumerate_sharded(
         return report, None
     rows = [tuple(map(int, line.split())) for line in listing.getvalue().splitlines()]
     return report, rows
-
-
-# -- reference constants and verification -----------------------------------
-
-EXPECTED_KEYS = ("q_count", "b_bar", "q_bar", "m_bar", "r_bar")
-
-
-def load_expected(path: Optional[str] = None) -> dict:
-    """Reference census constants as {(order, key): value}.
-
-    Reads the packaged fixture by default, or any file in the same
-    format: one ``order key value`` triple per line, blank lines and
-    ``#`` comments ignored.  A malformed or repeated line raises
-    ``ValueError`` naming its file and line.
-    """
-    if path is None:
-        text = files("interweave").joinpath(EXPECTED_DATA).read_text()
-        source = EXPECTED_DATA
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        source = path
-    expected = {}
-    first_line = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(
-                f"{source}:{lineno}: expected 'order key value', got {line!r}"
-            )
-        n_text, key, value_text = parts
-        if key not in EXPECTED_KEYS:
-            raise ValueError(f"{source}:{lineno}: unknown count key {key!r}")
-        try:
-            n, value = int(n_text), int(value_text)
-        except ValueError:
-            raise ValueError(
-                f"{source}:{lineno}: order and value must be integers"
-            ) from None
-        if (n, key) in first_line:
-            raise ValueError(
-                f"{source}:{lineno}: order {n} {key} repeats line "
-                f"{first_line[n, key]}"
-            )
-        first_line[n, key] = lineno
-        expected[n, key] = value
-    return expected
-
-
-@dataclass(frozen=True)
-class VerifyCell:
-    """One compared census cell: expected vs computed, with the method."""
-
-    n: int
-    key: str
-    method: str  # "enumerated" or "burnside"
-    expected: int
-    actual: int
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-def verify_table(
-    n_max: int,
-    expected: Optional[dict] = None,
-    jobs: Optional[int] = None,
-) -> list[VerifyCell]:
-    """Recompute the census for orders 2..n_max and diff every cell
-    against the reference constants.
-
-    Interweaving counts are always enumerated.  The all-classes count
-    is enumerated up to order ``ENUMERATED_B_BAR_MAX`` and checked by
-    the Burnside formula at every order, so the two independent methods
-    confirm each other where both run.  Each census runs through
-    :func:`_run_shards` on ``jobs`` workers (default 1; below 1 raises
-    ``ValueError``).  Mismatches are reported in the returned cells,
-    never raised.
-    """
-    if not 2 <= n_max <= 5:
-        raise ValueError(f"n_max must be in [2, 5], got {n_max}")
-    if expected is None:
-        expected = load_expected()
-    jobs = 1 if jobs is None else jobs
-    cells = []
-
-    def compare(n, key, method, actual):
-        if (n, key) not in expected:
-            raise ValueError(f"no expected constant for order {n} key {key!r}")
-        cells.append(
-            VerifyCell(
-                n=n, key=key, method=method, expected=expected[n, key], actual=actual
-            )
-        )
-
-    for n in range(2, n_max + 1):
-        report = _run_shards(EnumConfig(n, INTERWEAVINGS), jobs)
-        for key in ("q_count", "q_bar", "m_bar", "r_bar"):
-            compare(n, key, "enumerated", getattr(report, key))
-        if n <= ENUMERATED_B_BAR_MAX:
-            all_report = _run_shards(EnumConfig(n, ALL), jobs)
-            compare(n, "b_bar", "enumerated", all_report.b_bar)
-        compare(n, "b_bar", "burnside", burnside_b_bar(n))
-    return cells

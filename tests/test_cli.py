@@ -198,6 +198,27 @@ def test_failed_prefix_exits_2_naming_it(capsys, monkeypatch, argv, jobs):
     assert ", in failing\n" in rest
 
 
+@pytest.mark.parametrize("jobs", ((), ("--jobs", "2")), ids=("in-process", "jobs2"))
+def test_failed_list_leaves_no_out_file(capsys, monkeypatch, tmp_path, jobs):
+    # Prefix 0's block is written before prefix 1 fails; the file that
+    # holds it is removed, so exit 2 leaves no truncated listing.
+    real = enumeration._head_scan
+
+    def failing(head, *args):
+        if head == (1, 2):
+            raise RuntimeError("census loop failed")
+        return real(head, *args)
+
+    # Pool workers are forked, so they inherit the patched function.
+    monkeypatch.setattr(enumeration, "_head_scan", failing)
+    target = tmp_path / "reps.txt"
+    code, out, err = run(capsys, "list", "--n", "3", "--out", str(target), *jobs)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: prefix 1 (1 2) of order 3 failed:")
+    assert not target.exists()
+
+
 # Runs count, list and verify through main, with the extra arguments of
 # the command line, and prints which pool modules they imported.
 POOL_MODULES_AFTER_RUNS = """
@@ -456,6 +477,18 @@ def test_verify_passes(capsys):
     assert lines[-1].startswith("verify: PASS")
     assert all("FAIL" not in line for line in lines)
     assert any("burnside" in line for line in lines)
+
+
+def test_verify_order5_checks_b_bar_by_both_methods(capsys):
+    code, out, _ = run(capsys, "verify", "--n-max", "5")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "verify: PASS (24/24 cells)"
+    b_bar = [line.split()[2:] for line in lines if line.startswith("n=5 b_bar")]
+    assert b_bar == [
+        ["enumerated", "expected", "1342208", "computed", "1342208", "PASS"],
+        ["burnside", "expected", "1342208", "computed", "1342208", "PASS"],
+    ]
 
 
 def test_verify_corrupted_expected_fails(capsys, tmp_path):

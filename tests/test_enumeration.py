@@ -24,6 +24,7 @@ from interweave import (
     EnumConfig,
     Shard,
     ShiftPair,
+    VerifyCell,
     act,
     burnside_b_bar,
     classify,
@@ -41,16 +42,16 @@ from interweave import (
 )
 from interweave.enumeration import (
     LIST_FILTERS,
-    VerifyCell,
+    _anchor_masks,
     _head_scan,
     _in_orbit,
+    _last_row_bits,
     _last_row_scan,
     _PrefixError,
     _prefixes,
     _run_shards,
-    _shift_tables,
-    _window_tables,
 )
+from interweave.tables import _bit_tables, _gate_tables, _shift_tables, _window_tables
 from interweave.transforms import reverse_words, rotate90_words
 
 SMALL_CENSUS = {
@@ -246,6 +247,65 @@ def test_scan_halves_on_every_generated_shape(n):
     assert (decided["head"] > 0) == (n > 2)  # order 2 has no head pair to compare
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_last_row_bits_on_every_generated_shape(n):
+    # Every tuple the generator could build, over the full word range,
+    # decided per head as the census loop decides it: the prefix's
+    # anchor masks, then the last-row bitsets wherever a pair still ties.
+    rotl, least, anchors, _ = _shift_tables(n)
+    words = range(1 << n)
+    seen = {"rejected": 0, "stabilized": 0}
+    for first in words:
+        if least[first] != first:
+            continue
+        later = [w for w in words if least[w] >= first]
+        for second in later:
+            dead, live = _anchor_masks(first, second, n)
+            if n == 2:  # the prefix is the whole tuple
+                shapes = [((first,), [second])]
+            else:
+                mids = itertools.product(later, repeat=n - 3)
+                shapes = [((first, second) + mid, later) for mid in mids]
+            for head, pool in shapes:
+                tied = _head_scan(head, rotl, least, anchors, n)
+                if tied is None:
+                    continue
+                classes = sum(1 << w for w in pool) & ~dead
+                orbits = {}
+                if tied or classes & live:
+                    classes, orbits = _last_row_bits(head, tied, classes, n)
+                for w in pool:
+                    grid = oracle.words_to_grid(head + (w,), n)
+                    images = oracle.images(grid)
+                    if classes >> w & 1:
+                        assert min(images) == grid, head + (w,)
+                        assert orbits.get(w, n * n) == len(images), head + (w,)
+                        seen["stabilized"] += len(images) < n * n
+                    else:
+                        assert min(images) != grid, head + (w,)
+                        seen["rejected"] += 1
+                assert all(classes >> w & 1 for w in orbits), head
+    assert all(seen.values()), seen
+
+
+def test_order5_leaves_few_tuples_to_the_exact_scan(monkeypatch):
+    # A tied pair leaves one word per head to the exact last-row scan:
+    # order 5 makes 5 643 scans, against 293 016 when every last row
+    # that could tie was scanned.
+    real = enumeration._last_row_scan
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "_last_row_scan", counted)
+    report = enumerate_classes(EnumConfig(5))
+    assert (report.q_bar, report.rejected_minimality) == (705366, 309559)
+    assert 0 < calls < 10_000
+
+
 def test_order6_prefixes_match_brute_force():
     # The smallest order-6 prefixes, the last six, with three middle
     # rows each: their tuples are every (first, second) + three later
@@ -427,9 +487,10 @@ def test_window_gate_spares_most_classes_the_exact_test(monkeypatch):
 def test_tables_are_built_on_first_use_and_read_only():
     probe = (
         "import interweave.cli\n"
-        "from interweave.enumeration import _shift_tables, _window_tables\n"
-        "print(_shift_tables.cache_info().currsize,"
-        " _window_tables.cache_info().currsize)\n"
+        "from interweave.tables import (\n"
+        "    _bit_tables, _gate_tables, _shift_tables, _window_tables)\n"
+        "print(*(f.cache_info().currsize for f in"
+        " (_shift_tables, _window_tables, _bit_tables, _gate_tables)))\n"
     )
     src = os.path.dirname(os.path.dirname(enumeration.__file__))
     proc = subprocess.run(
@@ -440,11 +501,14 @@ def test_tables_are_built_on_first_use_and_read_only():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0", "0"]
     assert _shift_tables(5) is _shift_tables(5)
     assert _window_tables(5) is _window_tables(5)
-    for table in (*_shift_tables(5), *_window_tables(5)):
+    assert _bit_tables(5) is _bit_tables(5)
+    for table in (*_shift_tables(5), *_window_tables(5), *_bit_tables(5)):
         assert isinstance(table, tuple)
+    # The gate tables are per first row, and only the latest is kept.
+    assert _gate_tables.cache_info().maxsize == 1
 
 
 # -- Burnside oracle ------------------------------------------------------------------
