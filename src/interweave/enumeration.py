@@ -32,14 +32,15 @@ half, :func:`_head_scan`, compares each anchored image on the rows that
 involve head rows only: if one is already smaller, every last row of
 the head is rejected at once.  Otherwise each pair that still ties
 meets the last row in one row, where a rotation of the last row faces
-a head row: the last rows below it are one precomputed bitset, and
-only the one word that ties goes on to the exact last-row scan,
-:func:`_last_row_scan` (see :func:`_last_row_bits`).  The pairs
-anchored on the last row itself involve one word each, and the prefix
-decides most of them (:func:`_anchor_masks`).  At order 5 the head half
-rejects 7 796 of the 55 125 heads (127 666 of the 309 559 non-canonical
-candidates), 13 479 heads need the last-row bitsets, and the exact scan
-runs 5 643 times, against 293 016 times when it ran per last row.
+a head row: the last rows below it are one precomputed bitset, and the
+one word that ties is compared on alone, over rows that read head words
+and that word (:func:`_last_row_bits`).  The pairs anchored on the last
+row itself meet it at row 0, facing the first row, and are decided the
+same way; the prefix decides most of them for all its heads at once
+(:func:`_anchor_masks`).  At order 5 the head half rejects 7 796 of the
+54 933 heads it scans (127 666 of the 309 559 non-canonical
+candidates), and 15 801 heads need the last-row bitsets, which compare
+10 785 tie words on.
 
 The symmetry pass is gated by an exact necessary condition.  Let H(A)
 count A's n**2 cyclic 2x2 windows (rows i, i+1 and columns j, j+1, mod
@@ -81,8 +82,9 @@ n**2 pairs.  Exact integer arithmetic throughout — the ``2**(n*n)``
 terms outgrow 64 bits from order 8 on.
 
 Enumeration scales as roughly ``2**(n*(n-1))`` candidates.  Order 6,
-2 105 231 424 candidates and about 5 CPU minutes, is a long-running
-job and must be requested explicitly via ``limit_override``; order 7,
+2 105 231 424 candidates, took 261 CPU s in its one measured run (136 s
+of wall time on 2 CPUs); it is a long-running job and must be requested
+explicitly via ``limit_override``; order 7,
 about 1.2e13 candidates, is out of reach and refused.  Shards split the
 work by row prefix: the units are the (first, second) row pairs that
 pass the tests above, in lexicographic order (105 at order 5), and
@@ -142,10 +144,9 @@ MODES = (INTERWEAVINGS, ALL)
 LIST_FILTERS = ("all", "mirror", "rotation")
 
 MAX_ENUM_ORDER = 6
-# Orders below this run in seconds; a full order-6 enumeration takes
-# about 5 CPU minutes (24 sampled prefixes ran at 7.57 M candidates per
-# CPU second, for 2 105 231 424 candidates) and must be asked for
-# explicitly.
+# Orders below this run in seconds; a full order-6 enumeration,
+# 2 105 231 424 candidates, took 261 CPU s (136 s of wall time with two
+# jobs on a 2-CPU host) and must be asked for explicitly.
 OVERRIDE_ORDER = 6
 
 MAX_BURNSIDE_ORDER = 16
@@ -272,37 +273,6 @@ def _head_scan(head, rotl, least, anchors, n):
     return tied
 
 
-def _last_row_scan(rows, tied, rotl, least, anchors, n):
-    """The second half of the minimality scan: 0 if some shift image of
-    ``rows`` is lexicographically smaller, else the stabilizer size
-    (count of shift pairs mapping the matrix to itself).
-
-    ``tied`` is :func:`_head_scan` of ``rows[:-1]``.  Each of its pairs
-    resumes at its row i0; the pairs anchored on the last row itself,
-    (n - 1, l) for l an anchor of rows[-1] when its least rotation is
-    rows[0], start at row 1.
-    """
-    w = rows[-1]
-    if least[w] == rows[0]:
-        tied = tied + [(n - 1, l, 1) for l in anchors[w]]
-    stab = 1
-    for k, l, i0 in tied:
-        rl = rotl[l]
-        for i in range(i0, n):
-            j = k + i
-            if j >= n:
-                j -= n
-            v = rl[rows[j]]
-            ri = rows[i]
-            if v != ri:
-                if v < ri:
-                    return 0
-                break
-        else:
-            stab += 1
-    return stab
-
-
 def _in_orbit(rows, target, rotl, least, anchors, n):
     """Whether some shift image of ``rows`` equals ``target``.
 
@@ -338,55 +308,48 @@ def _last_row_bits(head, tied, lasts, n):
     words w with ``head + (w,)`` canonical and the orbit sizes of those
     among them whose stabilizer is above 1, by word.
 
-    ``tied`` is :func:`_head_scan` of ``head``.  A pair (k, l, i0) with
-    k >= 1 reaches the last row at row i0, where it compares
-    ``rotl[l][w]`` with ``head[i0]``: the words below are rejected at
-    once, and only the one word that rotates onto ``head[i0]`` ties and
-    goes to :func:`_last_row_scan`.  A pair (0, l) compares the last row
-    with its own rotation, so its rejects and its ties are fixed sets
-    per l.  The pairs (n - 1, l) anchored on the last row each involve
-    the one word ``rotl[-l][first]``, and are compared on the spot.
+    ``tied`` holds the pairs (k, l, i0) that tie on every row before
+    i0: the pairs :func:`_head_scan` leaves tied and those
+    :func:`_anchor_masks` anchors on the last row.  A pair with k >= 1
+    meets the last row once, at row i0, where ``rotl[l][w]`` faces
+    ``x = head[i0]``: the words below are rejected at once, and the one
+    word ``rotl[-l][x]`` ties.  Its later rows read head words only, and
+    the tie word itself at row n - 1, so that word alone is compared on:
+    rejected, fixed by one more pair, or left.  A pair (0, l) compares
+    the last row with its own rotation, so its rejects and its ties are
+    fixed sets per l.
     """
-    rotl, least, anchors, _ = _shift_tables(n)
+    rotl = _shift_tables(n)[0]
     below, under, fixed = _bit_tables(n)[2:]
-    rejects = exact = 0
+    rejects = 0
     ties = []  # bitsets of the words one more shift pair fixes
     for k, l, i0 in tied:
-        if k:
-            x = head[i0]
-            rejects |= below[l][x]
-            exact |= 1 << rotl[-l][x]
-        else:
+        if not k:
             rejects |= under[l]
             ties.append(fixed[l])
-    exact &= lasts
-    classes = lasts & ~exact & ~rejects
-    for l in range(n):
-        w = rotl[-l][head[0]]
+            continue
+        x = head[i0]
+        rejects |= below[l][x]
+        w = rotl[-l][x]
         bit = 1 << w
-        if not classes & bit:
+        if not lasts & bit:
             continue
         rl = rotl[l]
         rows = head + (w,)
-        for i in range(1, n):
-            v = rl[rows[i - 1]]
+        for i in range(i0 + 1, n):
+            v = rl[rows[k + i - n]]
             ri = rows[i]
             if v != ri:
                 if v < ri:
-                    classes ^= bit
+                    rejects |= bit
                 break
         else:
             ties.append(bit)
+    classes = lasts & ~rejects
     stabs = {}
     for tie in ties:
         for w in _select(range(1 << n), tie & classes):
             stabs[w] = stabs.get(w, 1) + 1
-    for w in _select(range(1 << n), exact):
-        stab = _last_row_scan(head + (w,), tied, rotl, least, anchors, n)
-        if stab:
-            classes |= 1 << w
-            if stab > 1:
-                stabs[w] = stab
     nn = n * n
     return classes, {w: nn // stab for w, stab in stabs.items()}
 
@@ -403,25 +366,28 @@ def _in_own_orbit(head, hits, image, n):
 
 
 def _anchor_masks(first, second, n):
-    """The last rows the prefix (first, second) decides through the pairs
-    anchored on the last row, as two bitsets ``(dead, live)``.
+    """What the prefix (first, second) decides of the pairs anchored on
+    the last row: ``(dead, anchored)``, the bitset of the last rows they
+    reject for every head of the prefix and the list of the pairs that
+    tie on, as ``(n - 1, l, 0)`` for :func:`_last_row_bits`.
 
-    A last row w that rotates onto ``first`` anchors the pairs (n - 1, l)
-    with ``rotl[l][w] == first``.  Row 1 of that image,
-    ``rotl[l][first]``, meets the second row: below it, w is rejected
-    for every head of the prefix (``dead``); equal to it, the pair ties
-    on and each head decides it (``live``); above it, the pair decides
-    nothing.  At order 2 the second row is the last row itself.
+    Pair (n - 1, l) brings the last row w to the top, and ties there
+    only for the one word with ``rotl[l][w] == first``.  Row 1 of that
+    image, ``rotl[l][first]``, meets the second row: below it, the word
+    is rejected (``dead``); equal to it, the pair ties on and each head
+    decides it (``anchored``); above it, the pair decides nothing.  At
+    order 2 the second row is the last row itself.
     """
     rotl = _shift_tables(n)[0]
-    dead = live = 0
+    dead = 0
+    anchored = []
     for l in range(n):
         v = rotl[l][first]
         if v < second:
             dead |= 1 << rotl[-l][first]
         elif v == second:
-            live |= 1 << rotl[-l][first]
-    return dead, live
+            anchored.append((n - 1, l, 0))
+    return dead, anchored
 
 
 def _census_loop(
@@ -484,7 +450,7 @@ def _census_loop(
         pool_bits = _bitset(pool)
         # The fold rejects a 0 or all-ones last row.
         two_colour = pool_bits & ~(1 | 1 << top)
-        dead, live = _anchor_masks(first, second, n)
+        dead, anchored = _anchor_masks(first, second, n)
         gates = _gate_tables(n, first)
         for mid in mids:
             head = start + mid
@@ -510,12 +476,13 @@ def _census_loop(
             if tied is None:
                 rejected_minimality += lasts.bit_count()
                 continue
-            # With no tied pair and no live anchor on the last row, no
-            # image ties past the second row: canonical, stabilizer 1.
+            # With no pair tied past the head or anchored on the last
+            # row, no image ties past the second row: canonical,
+            # stabilizer 1.
             classes = lasts & ~dead
             orbits = {}
-            if tied or classes & live:
-                classes, orbits = _last_row_bits(head, tied, classes, n)
+            if tied or anchored:
+                classes, orbits = _last_row_bits(head, tied + anchored, classes, n)
             count = classes.bit_count()
             rejected_minimality += lasts.bit_count() - count
             b_bar += count

@@ -9,11 +9,6 @@ from typing import Optional
 
 from .enumeration import ALL, INTERWEAVINGS, EnumConfig, _run_shards, burnside_b_bar
 
-# verify_table() runs the all-classes enumeration up to this order, so
-# every b_bar it checks has two methods, enumeration and the exact
-# Burnside value; the order-5 all-classes census takes about 0.6 CPU s.
-ENUMERATED_B_BAR_MAX = 5
-
 EXPECTED_DATA = "data/censuses.txt"
 
 EXPECTED_KEYS = ("q_count", "b_bar", "q_bar", "m_bar", "r_bar")
@@ -87,10 +82,9 @@ def verify_table(
     """Recompute the census for orders 2..n_max and diff every cell
     against the reference constants.
 
-    Interweaving counts are always enumerated.  The all-classes count
-    is enumerated up to order ``ENUMERATED_B_BAR_MAX`` and checked by
-    the Burnside formula at every order, so the two independent methods
-    confirm each other where both run.  Each census runs through
+    Interweaving counts are enumerated.  The all-classes count is both
+    enumerated and checked by the Burnside formula, so the two
+    independent methods confirm each other.  Each census runs through
     :func:`_run_shards` on ``jobs`` workers (default 1; below 1 raises
     ``ValueError``).  Mismatches are reported in the returned cells,
     never raised.
@@ -115,8 +109,10 @@ def verify_table(
         report = _run_shards(EnumConfig(n, INTERWEAVINGS), jobs)
         for key in ("q_count", "q_bar", "m_bar", "r_bar"):
             compare(n, key, "enumerated", getattr(report, key))
-        if n <= ENUMERATED_B_BAR_MAX:
-            all_report = _run_shards(EnumConfig(n, ALL), jobs)
-            compare(n, "b_bar", "enumerated", all_report.b_bar)
+        # Every b_bar gets two methods, enumeration and the exact
+        # Burnside value; the order-5 all-classes census takes about
+        # 0.6 CPU s.
+        all_report = _run_shards(EnumConfig(n, ALL), jobs)
+        compare(n, "b_bar", "enumerated", all_report.b_bar)
         compare(n, "b_bar", "burnside", burnside_b_bar(n))
     return cells

@@ -46,7 +46,6 @@ from interweave.enumeration import (
     _head_scan,
     _in_orbit,
     _last_row_bits,
-    _last_row_scan,
     _PrefixError,
     _prefixes,
     _run_shards,
@@ -214,11 +213,58 @@ def test_anchors_are_the_rotations_onto_the_least(n):
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
+def test_last_row_bits_on_every_generated_shape(n):
+    # Every tuple the generator could build, over the full word range,
+    # decided per head as the census loop decides it: the head half
+    # from the first n - 1 rows alone, then the prefix's anchor masks,
+    # and the last-row bitsets wherever a pair still ties.
+    rotl, least, anchors, _ = _shift_tables(n)
+    words = range(1 << n)
+    seen = {"head": 0, "rejected": 0, "stabilized": 0}
+    for first in words:
+        if least[first] != first:
+            continue
+        later = [w for w in words if least[w] >= first]
+        for second in later:
+            dead, anchored = _anchor_masks(first, second, n)
+            if n == 2:  # the prefix is the whole tuple
+                shapes = [((first,), [second])]
+            else:
+                mids = itertools.product(later, repeat=n - 3)
+                shapes = [((first, second) + mid, later) for mid in mids]
+            for head, pool in shapes:
+                tied = _head_scan(head, rotl, least, anchors, n)
+                if tied is None:
+                    seen["head"] += 1
+                    for w in pool:
+                        grid = oracle.words_to_grid(head + (w,), n)
+                        assert min(oracle.images(grid)) != grid, head + (w,)
+                    continue
+                classes = sum(1 << w for w in pool) & ~dead
+                orbits = {}
+                if tied or anchored:
+                    classes, orbits = _last_row_bits(head, tied + anchored, classes, n)
+                for w in pool:
+                    grid = oracle.words_to_grid(head + (w,), n)
+                    images = oracle.images(grid)
+                    if classes >> w & 1:
+                        assert min(images) == grid, head + (w,)
+                        assert orbits.get(w, n * n) == len(images), head + (w,)
+                        seen["stabilized"] += len(images) < n * n
+                    else:
+                        assert min(images) != grid, head + (w,)
+                        seen["rejected"] += 1
+                assert all(classes >> w & 1 for w in orbits), head
+    assert seen["rejected"] and seen["stabilized"], seen
+    assert (seen["head"] > 0) == (n > 2)  # order 2 has no head pair to compare
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
 def test_scan_halves_on_every_generated_shape(n):
-    # Every tuple the generator could build, over the full word range:
-    # a necklace first row, later rows rotating to nothing below it.
-    # The head half decides from the first n - 1 rows alone, and the
-    # last-row half resumes the pairs it leaves tied.
+    # Every tuple the generator could build, over the full word range,
+    # one tuple at a time: the head half decides from the first n - 1
+    # rows alone, and the last-row half, given the one-word bitset of
+    # the tuple's last row, resumes the pairs it leaves tied.
     rotl, least, anchors, _ = _shift_tables(n)
     words = range(1 << n)
     decided = {"head": 0, "last row": 0}
@@ -237,73 +283,40 @@ def test_scan_halves_on_every_generated_shape(n):
                     decided["head"] += 1
                     assert min(images) != grid, rows
                     continue
-                stab = _last_row_scan(rows, tied, rotl, least, anchors, n)
+                dead, anchored = _anchor_masks(first, rows[1], n)
+                lasts = (1 << w) & ~dead
+                classes, orbits = _last_row_bits(head, tied + anchored, lasts, n)
                 if min(images) != grid:
                     decided["last row"] += 1
-                    assert stab == 0, rows
+                    assert classes == 0 and not orbits, rows
                 else:
-                    assert stab * len(images) == n * n, rows
+                    assert classes == 1 << w, rows
+                    assert orbits.get(w, n * n) == len(images), rows
     assert decided["last row"] > 0
     assert (decided["head"] > 0) == (n > 2)  # order 2 has no head pair to compare
 
 
-@pytest.mark.parametrize("n", (2, 3, 4))
-def test_last_row_bits_on_every_generated_shape(n):
-    # Every tuple the generator could build, over the full word range,
-    # decided per head as the census loop decides it: the prefix's
-    # anchor masks, then the last-row bitsets wherever a pair still ties.
-    rotl, least, anchors, _ = _shift_tables(n)
-    words = range(1 << n)
-    seen = {"rejected": 0, "stabilized": 0}
-    for first in words:
-        if least[first] != first:
-            continue
-        later = [w for w in words if least[w] >= first]
-        for second in later:
-            dead, live = _anchor_masks(first, second, n)
-            if n == 2:  # the prefix is the whole tuple
-                shapes = [((first,), [second])]
-            else:
-                mids = itertools.product(later, repeat=n - 3)
-                shapes = [((first, second) + mid, later) for mid in mids]
-            for head, pool in shapes:
-                tied = _head_scan(head, rotl, least, anchors, n)
-                if tied is None:
-                    continue
-                classes = sum(1 << w for w in pool) & ~dead
-                orbits = {}
-                if tied or classes & live:
-                    classes, orbits = _last_row_bits(head, tied, classes, n)
-                for w in pool:
-                    grid = oracle.words_to_grid(head + (w,), n)
-                    images = oracle.images(grid)
-                    if classes >> w & 1:
-                        assert min(images) == grid, head + (w,)
-                        assert orbits.get(w, n * n) == len(images), head + (w,)
-                        seen["stabilized"] += len(images) < n * n
-                    else:
-                        assert min(images) != grid, head + (w,)
-                        seen["rejected"] += 1
-                assert all(classes >> w & 1 for w in orbits), head
-    assert all(seen.values()), seen
+def test_order5_sends_few_heads_to_the_last_row_bits(monkeypatch):
+    # The prefix's dead anchors leave most heads that pass the head half
+    # with no pair to decide on the last row: order 5 scans 54 933 heads
+    # and decides the last rows of 15 801 of them pair by pair.
+    real_head, real_bits = enumeration._head_scan, enumeration._last_row_bits
+    calls = {"head": 0, "bits": 0}
 
+    def head_scan(*args):
+        calls["head"] += 1
+        return real_head(*args)
 
-def test_order5_leaves_few_tuples_to_the_exact_scan(monkeypatch):
-    # A tied pair leaves one word per head to the exact last-row scan:
-    # order 5 makes 5 643 scans, against 293 016 when every last row
-    # that could tie was scanned.
-    real = enumeration._last_row_scan
-    calls = 0
+    def last_row_bits(*args):
+        calls["bits"] += 1
+        return real_bits(*args)
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(enumeration, "_last_row_scan", counted)
+    monkeypatch.setattr(enumeration, "_head_scan", head_scan)
+    monkeypatch.setattr(enumeration, "_last_row_bits", last_row_bits)
     report = enumerate_classes(EnumConfig(5))
     assert (report.q_bar, report.rejected_minimality) == (705366, 309559)
-    assert 0 < calls < 10_000
+    assert calls["head"] == 54933
+    assert 0 < calls["bits"] < 20_000
 
 
 def test_order6_prefixes_match_brute_force():
@@ -849,6 +862,8 @@ def test_load_expected_packaged():
         assert expected[n, "r_bar"] == r_bar
     assert expected[5, "q_bar"] == 705366
     assert expected[6, "b_bar"] == 1908897152
+    # Enumerated once and equal to the counting formula.
+    assert expected[6, "q_count"] == 46959933962
 
 
 def test_load_expected_diagnoses_bad_files(tmp_path):
