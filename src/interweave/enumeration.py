@@ -42,24 +42,15 @@ same way; the prefix decides most of them for all its heads at once
 candidates), and 15 801 heads need the last-row bitsets, which compare
 10 785 tie words on.
 
-The symmetry pass is gated by an exact necessary condition.  Let H(A)
-count A's n**2 cyclic 2x2 windows (rows i, i+1 and columns j, j+1, mod
-n) by their 16 patterns.  A shift pair is a translation of the torus,
-so H is constant on a class.  The mirror maps each window to the
-mirrored window, so H(mirror A) is H(A) with its patterns permuted, and
-the quarter turn likewise.  A class the mirror maps to itself therefore
-has sum_p (c[p] - c[mirror p]) * H(A)[p] = 0 for any fixed weights c,
-and the same holds for the quarter turn.  The sum splits over the n
-cyclic row pairs, one table lookup each (:func:`_window_tables`).  The
-head's pairs are added up once per head, and a table per first row
-maps the sum to the bitset of the last rows w whose two pairs,
-(head[-1], w) and (w, first), cancel it, so the gate is one lookup per
-head.  Only a class whose sum is 0 gets the exact test,
-:func:`_in_orbit`, which makes every positive decision: at order 5 that
-is 29 154 classes for the mirror and 5 750 for the quarter turn, of
-705 366.  The exact test
-is anchored too: it starts only from rows that are rotations of the
-target's first row.
+The symmetry flags are looked up, not tested per class.  A class is
+self-mirror (rotation-stable) exactly when the mirror (the quarter turn)
+maps some member onto a shift of itself.  For each first row,
+:func:`~interweave.tables._symmetric_tables` builds those fixed points,
+keeps the weavable ones and canonicalises them with the library's image
+walk, giving two tables from a head to the bitset of its symmetric last
+rows; the loop reads each head's flags with one lookup per table.  At
+order 5 the tables hold the 1 302 self-mirror and 74 rotation-stable
+classes of the 705 366.
 
 The minimality scan doubles as a stabilizer count: the shift pairs
 whose image equals the matrix itself form its stabilizer, and the orbit
@@ -70,9 +61,8 @@ reconciles the loop with both.
 
 Column rotation, bit reversal and the quarter turn are the word
 kernels of :mod:`interweave.transforms`: the lookup tables
-(:mod:`interweave.tables`) are built from them and the symmetry pass
-calls them, so the library and the census engine share one
-implementation of each.
+(:mod:`interweave.tables`) are built from them, so the library and the
+census engine share one implementation of each.
 
 The independent cross-check for the all-classes count is Burnside's
 lemma over the shift group: pair (k, l) acting on the n-by-n index
@@ -82,7 +72,7 @@ n**2 pairs.  Exact integer arithmetic throughout — the ``2**(n*n)``
 terms outgrow 64 bits from order 8 on.
 
 Enumeration scales as roughly ``2**(n*(n-1))`` candidates.  Order 6,
-2 105 231 424 candidates, took 261 CPU s in its one measured run (136 s
+2 105 231 424 candidates, took 224 CPU s in its last measured run (114 s
 of wall time on 2 CPUs); it is a long-running job and must be requested
 explicitly via ``limit_override``; order 7,
 about 1.2e13 candidates, is out of reach and refused.  Shards split the
@@ -125,15 +115,7 @@ from typing import Callable, NamedTuple, Optional
 from .bitmatrix import BitMatrix
 from .classify import ClassRecord
 from .formats import _format_words
-from .tables import (
-    _bit_tables,
-    _bitset,
-    _gate_tables,
-    _select,
-    _shift_tables,
-    _window_tables,
-)
-from .transforms import rotate90_words
+from .tables import _bit_tables, _bitset, _select, _shift_tables, _symmetric_tables
 
 INTERWEAVINGS = "interweavings"
 ALL = "all"
@@ -145,7 +127,7 @@ LIST_FILTERS = ("all", "mirror", "rotation")
 
 MAX_ENUM_ORDER = 6
 # Orders below this run in seconds; a full order-6 enumeration,
-# 2 105 231 424 candidates, took 261 CPU s (136 s of wall time with two
+# 2 105 231 424 candidates, took 224 CPU s (114 s of wall time with two
 # jobs on a 2-CPU host) and must be asked for explicitly.
 OVERRIDE_ORDER = 6
 
@@ -273,35 +255,6 @@ def _head_scan(head, rotl, least, anchors, n):
     return tied
 
 
-def _in_orbit(rows, target, rotl, least, anchors, n):
-    """Whether some shift image of ``rows`` equals ``target``.
-
-    Image (k, l) starts with ``target[0]`` only if rows[k] is a rotation
-    of it, i.e. ``least[rows[k]] == least[target[0]]``.  With b an anchor
-    of target[0], the rotations carrying rows[k] onto target[0] are
-    l = (a - b) % n for a in ``anchors[rows[k]]``; only those pairs are
-    compared.  Exact for any row tuple.
-    """
-    t0 = target[0]
-    key = least[t0]
-    b = anchors[t0][0]
-    for k in range(n):
-        w = rows[k]
-        if least[w] != key:
-            continue
-        for a in anchors[w]:
-            rl = rotl[(a - b) % n]
-            for i in range(1, n):
-                j = k + i
-                if j >= n:
-                    j -= n
-                if rl[rows[j]] != target[i]:
-                    break
-            else:
-                return True
-    return False
-
-
 def _last_row_bits(head, tied, lasts, n):
     """The last-row half of the minimality scan for every last row in the
     bitset ``lasts`` at once: ``(classes, orbits)``, the bitset of the
@@ -352,17 +305,6 @@ def _last_row_bits(head, tied, lasts, n):
             stabs[w] = stabs.get(w, 1) + 1
     nn = n * n
     return classes, {w: nn // stab for w, stab in stabs.items()}
-
-
-def _in_own_orbit(head, hits, image, n):
-    """The words w of the bitset ``hits`` for which ``image`` maps
-    ``head + (w,)`` into its own class, as a bitset."""
-    rotl, least, anchors, _ = _shift_tables(n)
-    for w in _select(range(1 << n), hits):
-        rows = head + (w,)
-        if not _in_orbit(rows, image(rows), rotl, least, anchors, n):
-            hits ^= 1 << w
-    return hits
 
 
 def _anchor_masks(first, second, n):
@@ -417,16 +359,9 @@ def _census_loop(
     weavable_mode = cfg.mode == INTERWEAVINGS
     index, total = cfg.shard
 
-    rotl, least, anchors, brev = _shift_tables(n)
+    rotl, least, anchors = _shift_tables(n)[:3]
     covers, misses = _bit_tables(n)[:2]
-    mwin, rwin = _window_tables(n)
     nn = n * n
-
-    def mirror_image(rows):
-        return tuple([brev[v] for v in rows])
-
-    def quarter_image(rows):
-        return rotate90_words(rows, n)
 
     candidates = rejected_weavability = rejected_minimality = 0
     b_bar = q_bar = m_bar = r_bar = q_count = 0
@@ -441,17 +376,14 @@ def _census_loop(
         else:
             mids = itertools.product(allowed, repeat=n - 3)
             start, pool = prefix, allowed
-        # The fold and the window sums of the head rows the prefix fixes.
+        # The fold of the head rows the prefix fixes.
         start_or, start_and = first | start[-1], first & start[-1]
-        keys = [u << n | v for u, v in zip(start, start[1:])]
-        start_msum = sum([mwin[k] for k in keys])
-        start_rsum = sum([rwin[k] for k in keys])
         pool_size = len(pool)
         pool_bits = _bitset(pool)
         # The fold rejects a 0 or all-ones last row.
         two_colour = pool_bits & ~(1 | 1 << top)
         dead, anchored = _anchor_masks(first, second, n)
-        gates = _gate_tables(n, first)
+        msym, rsym = _symmetric_tables(n, first)
         for mid in mids:
             head = start + mid
             ored, anded = start_or, start_and
@@ -495,24 +427,8 @@ def _census_loop(
                 for w, size in orbits.items():
                     if weavable >> w & 1:
                         q_count -= nn - size
-                # Window gate: a symmetric class has a zero window sum.
-                # The head's row pairs are added here; the gate tables
-                # add the pairs (head[-1], w) and (w, first) and map the
-                # sum to the last rows w that have it.
-                msum, rsum = start_msum, start_rsum
-                u = start[-1]
-                for v in mid:
-                    key = u << n | v
-                    msum += mwin[key]
-                    rsum += rwin[key]
-                    u = v
-                mgate, rgate = gates[u]
-                mirror = mgate.get(-msum, 0) & weavable
-                if mirror:
-                    mirror = _in_own_orbit(head, mirror, mirror_image, n)
-                rotation = rgate.get(-rsum, 0) & weavable
-                if rotation:
-                    rotation = _in_own_orbit(head, rotation, quarter_image, n)
+                mirror = msym.get(head, 0) & weavable
+                rotation = rsym.get(head, 0) & weavable
                 m_bar += mirror.bit_count()
                 r_bar += rotation.bit_count()
             if emit is not None and classes:

@@ -4,16 +4,21 @@ Every table is indexed by row words or holds sets of them.  A set of
 row words is a bitset, an int with bit w standing for word w (Knuth,
 TAOCP 4A, 7.1.3), so a whole set of last rows is filtered with one AND
 and counted with one popcount.  The tables are built from the word
-kernels of :mod:`interweave.transforms` and cached per order, read-only;
-the window gate's tables are cached per first row and fill in as the
-census loop asks for them.
+kernels of :mod:`interweave.transforms` and cached per order, read-only.
+The self-mirror and rotation-stable classes are cached per order and
+first row, built from the matrices the mirror or the quarter turn maps
+to a shift of themselves the first time the census loop meets that
+first row.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
+from math import gcd
 
+from .bitmatrix import BitMatrix
+from .classify import canonical, is_weavable
 from .transforms import reverse_words, rotate90_words, rotate_words
 
 
@@ -34,44 +39,6 @@ def _shift_tables(n):
         tuple(l for l in range(n) if rotl[l][w] == least[w]) for w in words
     )
     return rotl, least, anchors, reverse_words(words, n)
-
-
-# Weight c[p] of the 2x2 window pattern p = top << 2 | bottom, its two
-# 2-bit row words.  Any fixed weights keep the gate sound.  At orders 4
-# and 5 these let through exactly the classes whose window histogram the
-# transform fixes, and up to order 8 every sum stays under 2**26 in
-# absolute value, one CPython int digit.
-_WINDOW_WEIGHTS = tuple((p + 1) ** 5 for p in range(16))
-
-
-@lru_cache(maxsize=None)
-def _window_tables(n):
-    """The window gate's mirror and quarter-turn tables for order n,
-    indexed by ``u << n | v``.
-
-    Entry ``u << n | v`` of the mirror table is the sum of
-    ``c[p] - c[mirror(p)]`` over the n cyclic 2x2 windows p of the row
-    pair (u, v), columns (j, j + 1 mod n), with c = ``_WINDOW_WEIGHTS``;
-    the quarter-turn table likewise.  ``rotl[l]`` brings each window
-    into the low two bits of both words, and the ``transforms`` kernels
-    mirror and turn it as a matrix of two 2-bit rows.
-    """
-    rotl = _shift_tables(n)[0]
-    c = _WINDOW_WEIGHTS
-    tables = []
-    for kernel in (reverse_words, rotate90_words):
-        delta = []
-        for p in range(16):
-            top, bottom = kernel((p >> 2, p & 3), 2)
-            delta.append(c[p] - c[top << 2 | bottom])
-        tables.append(
-            tuple(
-                sum(delta[(rl[u] & 3) << 2 | rl[v] & 3] for rl in rotl)
-                for u in range(1 << n)
-                for v in range(1 << n)
-            )
-        )
-    return tuple(tables)
 
 
 def _bitset(words):
@@ -105,35 +72,112 @@ def _bit_tables(n):
     return covers, misses, below, under, fixed
 
 
-class _GateTables(dict):
-    """The window gate's tables for the heads that start with ``first``,
-    built per last head row u on first use: ``gates[u]`` is a pair of
-    dicts, mirror and quarter turn, each mapping a window sum s to the
-    bitset of the last rows w whose pairs (u, w) and (w, first) add up
-    to s, for w over the words a head of ``first`` can hold."""
-
-    def __init__(self, n, first):
-        super().__init__()
-        least = _shift_tables(n)[1]
-        self.n, self.first = n, first
-        self.words = [w for w in range(first, 1 << n) if least[w] >= first]
-
-    def __missing__(self, u):
-        n, first = self.n, self.first
-        tables = []
-        for win in _window_tables(n):
-            gate = {}
-            for w in self.words:
-                s = win[u << n | w] + win[w << n | first]
-                gate[s] = gate.get(s, 0) | 1 << w
-            tables.append(gate)
-        self[u] = tables = tuple(tables)
-        return tables
+def _class_table(n, first, matrices):
+    """The weavable classes among the row-word tuples ``matrices`` whose
+    canonical first row is ``first``, as a table: the head of each
+    canonical tuple, its first n - 1 rows, maps to the bitset of the last
+    rows that complete one."""
+    least = _shift_tables(n)[1]
+    table = {}
+    for rows in matrices:
+        # The canonical first row is the least rotation of some row.
+        if min([least[w] for w in rows]) != first:
+            continue
+        a = BitMatrix(rows)
+        if is_weavable(a):
+            rows = canonical(a).rows
+            head = rows[:-1]
+            table[head] = table.get(head, 0) | 1 << rows[-1]
+    return table
 
 
-# Only the latest first row's tables are kept, and a new first row's
-# start empty, so they never add to the memory of the previous ones.
-_gate_tables = lru_cache(maxsize=1)(_GateTables)
+def _mirror_fixed_points(n, first):
+    """The matrices the mirror maps to a shift (k, l) of themselves, for
+    every k and each l < gcd(2, n), whose row 0 is a rotation of
+    ``first`` and whose rows all rotate to nothing below ``first``.
+
+    With refl(w) = ``rotl[-l][brev[w]]``, an involution, such a matrix
+    has row i + k = refl(row i): one word per cycle of i -> i + k, and
+    the cycle alternates it with its reflection, which must be the word
+    itself when the cycle is odd.  The set is closed under row rotation,
+    so row 0 can be taken to hold a row whose least rotation is first.
+    """
+    rotl, least, _, brev = _shift_tables(n)
+    for l in range(gcd(2, n)):
+        refl = [rotl[-l][v] for v in brev]
+        pool = [w for w, v in enumerate(refl) if least[w] >= first <= least[v]]
+        selfs = [w for w in pool if refl[w] == w]
+        for k in range(n):
+            d = gcd(n, k)  # cycles, each of m rows
+            m = n // d
+            words = selfs if m % 2 else pool
+            # Row c + j*k of cycle c is entry j*d + c of the run that
+            # alternates the chosen words and their reflections.
+            at = [0] * n
+            for j in range(m):
+                for c in range(d):
+                    at[(c + j * k) % n] = j * d + c
+            starts = [w for w in words if least[w] == first]
+            for chosen in product(starts, *[words] * (d - 1)):
+                run = (chosen + tuple([refl[w] for w in chosen])) * m
+                yield tuple([run[i] for i in at])
+
+
+def _turn_fixed_points(n, shifts):
+    """The matrices the quarter turn maps to a shift (k, l) of
+    themselves, for each (k, l) in ``shifts``.
+
+    Such a matrix is fixed by the cell permutation that turns and then
+    shifts back by (k, l), so it is constant on each cycle of that
+    permutation, and every choice of a constant per cycle is one.  The
+    cycles are walked on one-cell matrices with the word kernels.
+    """
+    zero = (0,) * n
+    for k, l in shifts:
+        cycles = []  # the row words of each cycle's cells
+        seen = set()
+        for i in range(n):
+            for j in range(n):
+                cell = zero[:i] + (1 << j,) + zero[i + 1 :]
+                cycle = []
+                while cell not in seen:
+                    seen.add(cell)
+                    cycle.append(cell)
+                    turned = rotate_words(rotate90_words(cell, n), -l % n, n)
+                    cell = turned[-k:] + turned[:-k]
+                if cycle:
+                    cycles.append(tuple(map(sum, zip(*cycle))))
+        for bits in range(1 << len(cycles)):
+            yield tuple(map(sum, zip(zero, *_select(cycles, bits))))
+
+
+@lru_cache(maxsize=None)
+def _symmetric_tables(n, first):
+    """The self-mirror and the rotation-stable interweaving classes whose
+    canonical first row is ``first``, as two tables, mirror then quarter
+    turn: the head of each canonical row-word tuple, its first n - 1
+    rows, maps to the bitset of the last rows that complete one.
+
+    A class is h-symmetric exactly when some member A has h(A) = g(A)
+    for a shift g, a fixed point of the cell permutation g^-1 h (the
+    fixed-point view of the Cauchy-Frobenius lemma; de Bruijn, "Polya's
+    theory of counting", 1964).  For B = t(A), h(B) = (h(t) - t + g)(B),
+    so one g per coset of the image of t -> h(t) - t is enough: (k, l)
+    with l < gcd(2, n) for the mirror, whose image is {(0, 2b)}, and
+    (0, l) with l < gcd(2, n) for the quarter turn, where h - 1 has
+    Smith form diag(1, 2).  The weavable fixed points are canonicalised
+    with :func:`~interweave.classify.canonical`, the library's image
+    walk.  A zero first row never weaves.  Cached per order and first
+    row for the life of the process; all twelve first rows of order 6
+    hold about 14 MiB.
+    """
+    if not first:
+        return {}, {}
+    shifts = [(0, l) for l in range(gcd(2, n))]
+    return (
+        _class_table(n, first, _mirror_fixed_points(n, first)),
+        _class_table(n, first, _turn_fixed_points(n, shifts)),
+    )
 
 
 # Maps the binary digits of a bitset to the bytes 0 and 1.

@@ -352,8 +352,12 @@ ORDER5_LISTINGS = {
         ("all", ("--jobs", "2")),
         ("mirror", ()),
         ("rotation", ()),
+        ("mirror", ("--jobs", "2")),
+        ("rotation", ("--jobs", "2")),
     ),
-    ids=("in-process", "jobs2", "mirror", "rotation"),
+    ids=(
+        "in-process", "jobs2", "mirror", "rotation", "mirror-jobs2", "rotation-jobs2",
+    ),
 )
 def test_list_order5_digest(capsys, wanted, jobs):
     code, out, _ = run(capsys, "list", "--n", "5", "--filter", wanted, *jobs)

@@ -3,7 +3,6 @@
 import io
 import itertools
 import os
-import random
 import subprocess
 import sys
 import tempfile
@@ -23,9 +22,7 @@ from interweave import (
     BitMatrix,
     EnumConfig,
     Shard,
-    ShiftPair,
     VerifyCell,
-    act,
     burnside_b_bar,
     classify,
     enumerate_classes,
@@ -35,23 +32,25 @@ from interweave import (
     is_weavable,
     load_expected,
     merge_reports,
-    mirror,
     orbit,
-    rotate90,
     verify_table,
 )
 from interweave.enumeration import (
     LIST_FILTERS,
     _anchor_masks,
     _head_scan,
-    _in_orbit,
     _last_row_bits,
     _PrefixError,
     _prefixes,
     _run_shards,
 )
-from interweave.tables import _bit_tables, _gate_tables, _shift_tables, _window_tables
-from interweave.transforms import reverse_words, rotate90_words
+from interweave.tables import (
+    _bit_tables,
+    _class_table,
+    _shift_tables,
+    _symmetric_tables,
+    _turn_fixed_points,
+)
 
 SMALL_CENSUS = {
     # n: (q_count, b_bar, q_bar, m_bar, r_bar)
@@ -381,129 +380,72 @@ def test_head_scan_decides_order5_rejects_once_per_head(monkeypatch):
     assert decided == 127666
 
 
-def _symmetrized(rng, n, trials=40):
-    """``trials`` random order-n matrices drawn from ``rng``; every few
-    are symmetrized, so that mirror and quarter-turn images also land in
-    the orbit at larger orders."""
-    for trial in range(trials):
-        a = BitMatrix(rng.getrandbits(n) for _ in range(n))
-        if trial % 4 == 1:
-            a = a | mirror(a)
-        elif trial % 4 == 2:
-            for _ in range(3):
-                a = a | rotate90(a)
-        yield a
+# -- symmetric-class tables -------------------------------------------------------
+
+def _necklaces(n):
+    least = _shift_tables(n)[1]
+    return [w for w in range(1 << n) if least[w] == w]
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_in_orbit_agrees_with_the_orbit_set(n):
-    rng = random.Random(6000 + n)
-    rotl, least, anchors, _ = _shift_tables(n)
-    seen = set()
-    for a in _symmetrized(rng, n):
-        members = orbit(a)
-        image = act(a, ShiftPair(rng.randrange(n), rng.randrange(n)))
-        unrelated = BitMatrix(rng.getrandbits(n) for _ in range(n))
-        targets = {
-            "image": image,
-            "mirror": mirror(a),
-            "quarter": rotate90(a),
-            "unrelated": unrelated,
-        }
-        for kind, target in targets.items():
-            hit = _in_orbit(a.rows, target.rows, rotl, least, anchors, n)
-            assert hit == (target in members), (kind, a, target)
-            seen.add((kind, hit))
-    assert ("image", False) not in seen
-    assert ("unrelated", False) in seen
-    if n > 2:  # at order 2 every mirror image is a column shift
-        assert {("mirror", True), ("mirror", False)} <= seen
-        assert {("quarter", True), ("quarter", False)} <= seen
-
-
-# -- window gate ------------------------------------------------------------------
-
-def _window_sums(rows, n):
-    """(mirror, quarter-turn) window sums of ``rows``, one table entry per
-    cyclic row pair, as the census loop adds them up."""
-    mwin, rwin = _window_tables(n)
-    keys = [u << n | v for u, v in zip(rows[-1:] + rows[:-1], rows)]
-    return sum(mwin[k] for k in keys), sum(rwin[k] for k in keys)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_window_sums_are_shift_invariant(n):
-    for a in _symmetrized(random.Random(6000 + n), n):
-        sums = {
-            _window_sums(act(a, ShiftPair(k, l)).rows, n)
-            for k in range(n)
-            for l in range(n)
-        }
-        assert len(sums) == 1, a
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_window_sums_vanish_on_symmetric_matrices(n):
-    # Soundness of the gate: a matrix whose mirror or quarter turn lies
-    # in its orbit has a zero sum for that transform.
-    hits = set()
-    for a in _symmetrized(random.Random(6000 + n), n):
-        members = orbit(a)
-        msum, rsum = _window_sums(a.rows, n)
-        if mirror(a) in members:
-            hits.add("mirror")
-            assert msum == 0, a
-        if rotate90(a) in members:
-            hits.add("quarter")
-            assert rsum == 0, a
-    assert hits == {"mirror", "quarter"}
+def _popcount(table):
+    return sum(bits.bit_count() for bits in table.values())
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
-def test_window_sums_vanish_on_every_symmetric_class(n):
-    symmetric = {"mirror": 0, "quarter": 0}
+def test_symmetric_tables_equal_the_oracle_classes(n):
+    expected = {}  # first row -> (mirror, quarter-turn) tables
     for rep in oracle.partition_by_class(n):
+        if not oracle.is_weavable_grid(rep):
+            continue
         members = oracle.images(rep)
-        msum, rsum = _window_sums(oracle.grid_to_words(rep), n)
-        if oracle.mirror_grid(rep) in members:
-            symmetric["mirror"] += 1
-            assert msum == 0, rep
-        if oracle.rot90_grid(rep) in members:
-            symmetric["quarter"] += 1
-            assert rsum == 0, rep
-    assert all(symmetric.values())
+        rows = oracle.grid_to_words(rep)
+        head = rows[:-1]
+        tables = expected.setdefault(rows[0], ({}, {}))
+        for table, image in zip(tables, (oracle.mirror_grid, oracle.rot90_grid)):
+            if image(rep) in members:
+                table[head] = table.get(head, 0) | 1 << rows[-1]
+    for first in _necklaces(n):
+        got = _symmetric_tables(n, first)
+        want = tuple(expected.get(first, ({}, {})))
+        assert got == want, first
 
 
-def test_window_gate_spares_most_classes_the_exact_test(monkeypatch):
-    # Counts the exact tests the order-4 census makes; the gate must
-    # keep more than half of the 1 446 classes from the mirror test and
-    # leave every count as it was.  A call whose target is both the
-    # mirror and the quarter turn counts for both, so each count is an
-    # upper bound.
-    real = enumeration._in_orbit
-    calls = {"mirror": 0, "quarter": 0}
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_symmetric_tables_count_the_packaged_m_bar_and_r_bar(n):
+    expected = load_expected()
+    tables = [_symmetric_tables(n, first) for first in _necklaces(n)]
+    assert sum(_popcount(m) for m, _ in tables) == expected[n, "m_bar"]
+    assert sum(_popcount(r) for _, r in tables) == expected[n, "r_bar"]
 
-    def counted(rows, target, *tables):
-        n = len(rows)
-        calls["mirror"] += target == reverse_words(rows, n)
-        calls["quarter"] += target == rotate90_words(rows, n)
-        return real(rows, target, *tables)
 
-    monkeypatch.setattr(enumeration, "_in_orbit", counted)
-    report, _ = _run(4, INTERWEAVINGS)
-    _, _, q_bar, m_bar, r_bar = SMALL_CENSUS[4]
-    assert (report.q_bar, report.m_bar, report.r_bar) == (q_bar, m_bar, r_bar)
-    assert m_bar <= calls["mirror"] < q_bar / 2
-    assert r_bar <= calls["quarter"] < q_bar / 2
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_quarter_turn_coset_representatives_suffice(n):
+    # The tables try one shift per coset of the image of t -> h(t) - t;
+    # all n**2 shifts find the same classes.
+    shifts = list(itertools.product(range(n), repeat=2))
+    found = 0
+    for first in _necklaces(n):
+        table = _class_table(n, first, _turn_fixed_points(n, shifts))
+        assert table == _symmetric_tables(n, first)[1], first
+        found += _popcount(table)
+    assert found == load_expected()[n, "r_bar"]
+
+
+def test_chiral_first_row_has_no_self_mirror_class():
+    # 001011 (11) and its reversal 001101 (13) are order 6's only chiral
+    # row necklaces.  A self-mirror class's row necklaces are closed
+    # under reversal, so one starting with 13 would hold a row that
+    # rotates to 11 < 13 and could not be canonical.
+    assert _symmetric_tables(6, 13)[0] == {}
+    assert _symmetric_tables(6, 11)[0]
 
 
 def test_tables_are_built_on_first_use_and_read_only():
     probe = (
         "import interweave.cli\n"
-        "from interweave.tables import (\n"
-        "    _bit_tables, _gate_tables, _shift_tables, _window_tables)\n"
+        "from interweave.tables import _bit_tables, _shift_tables, _symmetric_tables\n"
         "print(*(f.cache_info().currsize for f in"
-        " (_shift_tables, _window_tables, _bit_tables, _gate_tables)))\n"
+        " (_shift_tables, _bit_tables, _symmetric_tables)))\n"
     )
     src = os.path.dirname(os.path.dirname(enumeration.__file__))
     proc = subprocess.run(
@@ -514,14 +456,15 @@ def test_tables_are_built_on_first_use_and_read_only():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0"]
     assert _shift_tables(5) is _shift_tables(5)
-    assert _window_tables(5) is _window_tables(5)
     assert _bit_tables(5) is _bit_tables(5)
-    for table in (*_shift_tables(5), *_window_tables(5), *_bit_tables(5)):
+    for table in (*_shift_tables(5), *_bit_tables(5)):
         assert isinstance(table, tuple)
-    # The gate tables are per first row, and only the latest is kept.
-    assert _gate_tables.cache_info().maxsize == 1
+    # The symmetric tables are per first row, and every one is kept:
+    # the prefixes of one first row reach a process one at a time.
+    assert _symmetric_tables(5, 1) is _symmetric_tables(5, 1)
+    assert _symmetric_tables.cache_info().maxsize is None
 
 
 # -- Burnside oracle ------------------------------------------------------------------
