@@ -44,13 +44,16 @@ candidates), and 15 801 heads need the last-row bitsets, which compare
 
 The symmetry flags are looked up, not tested per class.  A class is
 self-mirror (rotation-stable) exactly when the mirror (the quarter turn)
-maps some member onto a shift of itself.  For each first row,
-:func:`~interweave.tables._symmetric_tables` builds those fixed points,
-keeps the weavable ones and canonicalises them with the library's image
-walk, giving two tables from a head to the bitset of its symmetric last
-rows; the loop reads each head's flags with one lookup per table.  At
-order 5 the tables hold the 1 302 self-mirror and 74 rotation-stable
-classes of the 705 366.
+maps some member onto a shift of itself.  The tables of
+:mod:`interweave.tables` build those fixed points, keep the weavable
+ones and canonicalise them with the library's image walk, mapping a
+head to the bitset of its symmetric last rows: the mirror's per
+(first, second) prefix, built once by the prefix's task and dropped
+after it (:func:`~interweave.tables._mirror_table`), and the quarter
+turn's once per order (:func:`~interweave.tables._turn_table`).  The
+loop reads each head's flags with one lookup per table.  At order 5 the
+tables hold the 1 302 self-mirror and 74 rotation-stable classes of the
+705 366.
 
 The minimality scan doubles as a stabilizer count: the shift pairs
 whose image equals the matrix itself form its stabilizer, and the orbit
@@ -72,7 +75,7 @@ n**2 pairs.  Exact integer arithmetic throughout — the ``2**(n*n)``
 terms outgrow 64 bits from order 8 on.
 
 Enumeration scales as roughly ``2**(n*(n-1))`` candidates.  Order 6,
-2 105 231 424 candidates, took 224 CPU s in its last measured run (114 s
+2 105 231 424 candidates, took 128 CPU s in its last measured run (65 s
 of wall time on 2 CPUs); it is a long-running job and must be requested
 explicitly via ``limit_override``; order 7,
 about 1.2e13 candidates, is out of reach and refused.  Shards split the
@@ -115,7 +118,9 @@ from typing import Callable, NamedTuple, Optional
 from .bitmatrix import BitMatrix
 from .classify import ClassRecord
 from .formats import _format_words
-from .tables import _bit_tables, _bitset, _select, _shift_tables, _symmetric_tables
+from .tables import (
+    _bit_tables, _bitset, _mirror_table, _select, _shift_tables, _turn_table
+)
 
 INTERWEAVINGS = "interweavings"
 ALL = "all"
@@ -127,7 +132,7 @@ LIST_FILTERS = ("all", "mirror", "rotation")
 
 MAX_ENUM_ORDER = 6
 # Orders below this run in seconds; a full order-6 enumeration,
-# 2 105 231 424 candidates, took 224 CPU s (114 s of wall time with two
+# 2 105 231 424 candidates, took 128 CPU s (65 s of wall time with two
 # jobs on a 2-CPU host) and must be asked for explicitly.
 OVERRIDE_ORDER = 6
 
@@ -361,6 +366,7 @@ def _census_loop(
 
     rotl, least, anchors = _shift_tables(n)[:3]
     covers, misses = _bit_tables(n)[:2]
+    rsym = _turn_table(n)
     nn = n * n
 
     candidates = rejected_weavability = rejected_minimality = 0
@@ -383,7 +389,7 @@ def _census_loop(
         # The fold rejects a 0 or all-ones last row.
         two_colour = pool_bits & ~(1 | 1 << top)
         dead, anchored = _anchor_masks(first, second, n)
-        msym, rsym = _symmetric_tables(n, first)
+        msym = _mirror_table(n, first, second)
         for mid in mids:
             head = start + mid
             ored, anded = start_or, start_and

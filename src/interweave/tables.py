@@ -5,10 +5,10 @@ row words is a bitset, an int with bit w standing for word w (Knuth,
 TAOCP 4A, 7.1.3), so a whole set of last rows is filtered with one AND
 and counted with one popcount.  The tables are built from the word
 kernels of :mod:`interweave.transforms` and cached per order, read-only.
-The self-mirror and rotation-stable classes are cached per order and
-first row, built from the matrices the mirror or the quarter turn maps
-to a shift of themselves the first time the census loop meets that
-first row.
+The rotation-stable classes are built once per order and cached the
+same way; the self-mirror classes are built, not cached, per (first,
+second) row prefix by the task that reads them.  Both come from the
+matrices the quarter turn or the mirror maps to a shift of themselves.
 """
 
 from __future__ import annotations
@@ -72,38 +72,37 @@ def _bit_tables(n):
     return covers, misses, below, under, fixed
 
 
-def _class_table(n, first, matrices):
+def _class_table(matrices, start=()):
     """The weavable classes among the row-word tuples ``matrices`` whose
-    canonical first row is ``first``, as a table: the head of each
-    canonical tuple, its first n - 1 rows, maps to the bitset of the last
-    rows that complete one."""
-    least = _shift_tables(n)[1]
+    canonical tuple starts with the rows ``start``, as a table: the head
+    of each canonical tuple, its first n - 1 rows, maps to the bitset of
+    the last rows that complete one."""
     table = {}
     for rows in matrices:
-        # The canonical first row is the least rotation of some row.
-        if min([least[w] for w in rows]) != first:
-            continue
         a = BitMatrix(rows)
         if is_weavable(a):
             rows = canonical(a).rows
-            head = rows[:-1]
-            table[head] = table.get(head, 0) | 1 << rows[-1]
+            if rows[: len(start)] == start:
+                head = rows[:-1]
+                table[head] = table.get(head, 0) | 1 << rows[-1]
     return table
 
 
-def _mirror_fixed_points(n, first):
+def _mirror_fixed_points(n, first, second):
     """The matrices the mirror maps to a shift (k, l) of themselves, for
-    every k and each l < gcd(2, n), whose row 0 is a rotation of
-    ``first`` and whose rows all rotate to nothing below ``first``.
+    every shift, whose rows 0 and 1 are ``first`` and ``second`` where
+    the shift lets them be chosen, and whose rows all rotate to nothing
+    below ``first``.
 
     With refl(w) = ``rotl[-l][brev[w]]``, an involution, such a matrix
     has row i + k = refl(row i): one word per cycle of i -> i + k, and
     the cycle alternates it with its reflection, which must be the word
-    itself when the cycle is odd.  The set is closed under row rotation,
-    so row 0 can be taken to hold a row whose least rotation is first.
+    itself when the cycle is odd.  Rows 0 and 1 start cycles 0 and 1,
+    so they are the first two words chosen; with one cycle, row 1
+    follows from row 0 and only row 0 is chosen.
     """
     rotl, least, _, brev = _shift_tables(n)
-    for l in range(gcd(2, n)):
+    for l in range(n):
         refl = [rotl[-l][v] for v in brev]
         pool = [w for w, v in enumerate(refl) if least[w] >= first <= least[v]]
         selfs = [w for w in pool if refl[w] == w]
@@ -117,8 +116,8 @@ def _mirror_fixed_points(n, first):
             for j in range(m):
                 for c in range(d):
                     at[(c + j * k) % n] = j * d + c
-            starts = [w for w in words if least[w] == first]
-            for chosen in product(starts, *[words] * (d - 1)):
+            pinned = [[w] if w in words else [] for w in (first, second)[:d]]
+            for chosen in product(*pinned, *[words] * (d - 2)):
                 run = (chosen + tuple([refl[w] for w in chosen])) * m
                 yield tuple([run[i] for i in at])
 
@@ -151,33 +150,41 @@ def _turn_fixed_points(n, shifts):
             yield tuple(map(sum, zip(zero, *_select(cycles, bits))))
 
 
-@lru_cache(maxsize=None)
-def _symmetric_tables(n, first):
-    """The self-mirror and the rotation-stable interweaving classes whose
-    canonical first row is ``first``, as two tables, mirror then quarter
-    turn: the head of each canonical row-word tuple, its first n - 1
-    rows, maps to the bitset of the last rows that complete one.
+def _mirror_table(n, first, second):
+    """The self-mirror interweaving classes whose canonical tuple starts
+    with the rows ``first`` and ``second``, as a table: the head of each
+    canonical row-word tuple, its first n - 1 rows, maps to the bitset
+    of the last rows that complete one.
 
-    A class is h-symmetric exactly when some member A has h(A) = g(A)
-    for a shift g, a fixed point of the cell permutation g^-1 h (the
-    fixed-point view of the Cauchy-Frobenius lemma; de Bruijn, "Polya's
-    theory of counting", 1964).  For B = t(A), h(B) = (h(t) - t + g)(B),
-    so one g per coset of the image of t -> h(t) - t is enough: (k, l)
-    with l < gcd(2, n) for the mirror, whose image is {(0, 2b)}, and
-    (0, l) with l < gcd(2, n) for the quarter turn, where h - 1 has
-    Smith form diag(1, 2).  The weavable fixed points are canonicalised
-    with :func:`~interweave.classify.canonical`, the library's image
-    walk.  A zero first row never weaves.  Cached per order and first
-    row for the life of the process; all twelve first rows of order 6
-    hold about 14 MiB.
+    A class is self-mirror exactly when some member A has mirror(A) =
+    g(A) for a shift g, a fixed point of the cell permutation g^-1
+    mirror (the fixed-point view of the Cauchy-Frobenius lemma; de
+    Bruijn, "Polya's theory of counting", 1964).  The class's canonical
+    tuple is such a member, so the fixed points that start with the
+    prefix hold every class the prefix has.  The weavable ones are
+    canonicalised with :func:`~interweave.classify.canonical`, the
+    library's image walk, and kept when the canonical tuple starts with
+    the prefix.  A zero first row never weaves.  Not cached: a prefix's
+    task builds its table once.
     """
     if not first:
-        return {}, {}
+        return {}
+    return _class_table(_mirror_fixed_points(n, first, second), (first, second))
+
+
+@lru_cache(maxsize=None)
+def _turn_table(n):
+    """The rotation-stable interweaving classes of order n, as a table
+    like :func:`_mirror_table`'s.
+
+    Each member A of such a class has h(A) = g(A) for the quarter turn h
+    and a shift g.  For B = t(A), h(B) = (h(t) - t + g)(B), so one g per
+    coset of the image of t -> h(t) - t is enough: (0, l) with
+    l < gcd(2, n), since h - 1 has Smith form diag(1, 2).  Cached per
+    order; the table is read-only.
+    """
     shifts = [(0, l) for l in range(gcd(2, n))]
-    return (
-        _class_table(n, first, _mirror_fixed_points(n, first)),
-        _class_table(n, first, _turn_fixed_points(n, shifts)),
-    )
+    return _class_table(_turn_fixed_points(n, shifts))
 
 
 # Maps the binary digits of a bitset to the bytes 0 and 1.

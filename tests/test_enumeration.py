@@ -47,9 +47,10 @@ from interweave.enumeration import (
 from interweave.tables import (
     _bit_tables,
     _class_table,
+    _mirror_table,
     _shift_tables,
-    _symmetric_tables,
     _turn_fixed_points,
+    _turn_table,
 )
 
 SMALL_CENSUS = {
@@ -382,70 +383,75 @@ def test_head_scan_decides_order5_rejects_once_per_head(monkeypatch):
 
 # -- symmetric-class tables -------------------------------------------------------
 
-def _necklaces(n):
-    least = _shift_tables(n)[1]
-    return [w for w in range(1 << n) if least[w] == w]
-
-
 def _popcount(table):
     return sum(bits.bit_count() for bits in table.values())
 
 
+def _prefix_list(n, **kwargs):
+    return [p for p, _ in _prefixes(EnumConfig(n, **kwargs), _shift_tables(n)[1])]
+
+
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_symmetric_tables_equal_the_oracle_classes(n):
-    expected = {}  # first row -> (mirror, quarter-turn) tables
+    mirror = {}  # (first, second) prefix -> self-mirror table
+    rotation = {}
     for rep in oracle.partition_by_class(n):
         if not oracle.is_weavable_grid(rep):
             continue
         members = oracle.images(rep)
         rows = oracle.grid_to_words(rep)
         head = rows[:-1]
-        tables = expected.setdefault(rows[0], ({}, {}))
-        for table, image in zip(tables, (oracle.mirror_grid, oracle.rot90_grid)):
-            if image(rep) in members:
-                table[head] = table.get(head, 0) | 1 << rows[-1]
-    for first in _necklaces(n):
-        got = _symmetric_tables(n, first)
-        want = tuple(expected.get(first, ({}, {})))
-        assert got == want, first
+        if oracle.mirror_grid(rep) in members:
+            table = mirror.setdefault(rows[:2], {})
+            table[head] = table.get(head, 0) | 1 << rows[-1]
+        if oracle.rot90_grid(rep) in members:
+            rotation[head] = rotation.get(head, 0) | 1 << rows[-1]
+    prefixes = _prefix_list(n)
+    assert set(mirror) <= set(prefixes)
+    for first, second in prefixes:
+        got = _mirror_table(n, first, second)
+        assert got == mirror.get((first, second), {}), (first, second)
+    assert _turn_table(n) == rotation
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_symmetric_tables_count_the_packaged_m_bar_and_r_bar(n):
     expected = load_expected()
-    tables = [_symmetric_tables(n, first) for first in _necklaces(n)]
-    assert sum(_popcount(m) for m, _ in tables) == expected[n, "m_bar"]
-    assert sum(_popcount(r) for _, r in tables) == expected[n, "r_bar"]
+    tables = [_mirror_table(n, *prefix) for prefix in _prefix_list(n)]
+    assert sum(map(_popcount, tables)) == expected[n, "m_bar"]
+    assert _popcount(_turn_table(n)) == expected[n, "r_bar"]
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_quarter_turn_coset_representatives_suffice(n):
-    # The tables try one shift per coset of the image of t -> h(t) - t;
+    # The table tries one shift per coset of the image of t -> h(t) - t;
     # all n**2 shifts find the same classes.
     shifts = list(itertools.product(range(n), repeat=2))
-    found = 0
-    for first in _necklaces(n):
-        table = _class_table(n, first, _turn_fixed_points(n, shifts))
-        assert table == _symmetric_tables(n, first)[1], first
-        found += _popcount(table)
-    assert found == load_expected()[n, "r_bar"]
+    table = _class_table(_turn_fixed_points(n, shifts))
+    assert table == _turn_table(n)
+    assert _popcount(table) == load_expected()[n, "r_bar"]
 
 
 def test_chiral_first_row_has_no_self_mirror_class():
     # 001011 (11) and its reversal 001101 (13) are order 6's only chiral
     # row necklaces.  A self-mirror class's row necklaces are closed
     # under reversal, so one starting with 13 would hold a row that
-    # rotates to 11 < 13 and could not be canonical.
-    assert _symmetric_tables(6, 13)[0] == {}
-    assert _symmetric_tables(6, 11)[0]
+    # rotates to 11 < 13 and could not be canonical.  The other counts
+    # pin first rows whose tables are quick to build.
+    found = {}
+    for first, second in _prefix_list(6, limit_override=True):
+        if first in (11, 13, 15, 23, 27, 31):
+            table = _mirror_table(6, first, second)
+            found[first] = found.get(first, 0) + _popcount(table)
+    assert found == {11: 3563, 13: 0, 15: 672, 23: 795, 27: 32, 31: 4}
 
 
 def test_tables_are_built_on_first_use_and_read_only():
     probe = (
         "import interweave.cli\n"
-        "from interweave.tables import _bit_tables, _shift_tables, _symmetric_tables\n"
+        "from interweave.tables import _bit_tables, _shift_tables, _turn_table\n"
         "print(*(f.cache_info().currsize for f in"
-        " (_shift_tables, _bit_tables, _symmetric_tables)))\n"
+        " (_shift_tables, _bit_tables, _turn_table)))\n"
     )
     src = os.path.dirname(os.path.dirname(enumeration.__file__))
     proc = subprocess.run(
@@ -459,12 +465,35 @@ def test_tables_are_built_on_first_use_and_read_only():
     assert proc.stdout.split() == ["0", "0", "0"]
     assert _shift_tables(5) is _shift_tables(5)
     assert _bit_tables(5) is _bit_tables(5)
+    assert _turn_table(5) is _turn_table(5)
     for table in (*_shift_tables(5), *_bit_tables(5)):
         assert isinstance(table, tuple)
-    # The symmetric tables are per first row, and every one is kept:
-    # the prefixes of one first row reach a process one at a time.
-    assert _symmetric_tables(5, 1) is _symmetric_tables(5, 1)
-    assert _symmetric_tables.cache_info().maxsize is None
+    # Nothing caches a mirror table: each prefix's task builds its own.
+    assert not hasattr(_mirror_table, "cache_info")
+    table = _mirror_table(5, 1, 1)
+    assert table and _mirror_table(5, 1, 1) is not table
+
+
+def test_each_prefix_mirror_table_is_built_once_per_run(tmp_path, monkeypatch):
+    # In this process and on a pool, the task of a prefix builds its
+    # mirror table once; forked workers inherit the patch and log each
+    # build to the same file.
+    real = enumeration._mirror_table
+    log = tmp_path / "built.txt"
+
+    def logged(n, first, second):
+        with open(log, "a") as handle:
+            handle.write(f"{first} {second}\n")
+        return real(n, first, second)
+
+    monkeypatch.setattr(enumeration, "_mirror_table", logged)
+    for n, jobs in ((5, 1), (4, 2)):
+        log.write_text("")
+        _run_shards(EnumConfig(n), jobs)
+        lines = log.read_text().splitlines()
+        built = sorted(tuple(map(int, line.split())) for line in lines)
+        assert built == _prefix_list(n)
+        assert len(built) == (105 if n == 5 else 34)
 
 
 # -- Burnside oracle ------------------------------------------------------------------
