@@ -100,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--limit-override",
             action="store_true",
-            help="allow order 6 (a full run took 128 CPU s, 65 s of wall "
-            "time with --jobs 2 on 2 CPUs)",
+            help="allow order 6, a long-running job (see the README)",
         )
         p.add_argument(
             "--progress",

@@ -44,16 +44,19 @@ candidates), and 15 801 heads need the last-row bitsets, which compare
 
 The symmetry flags are looked up, not tested per class.  A class is
 self-mirror (rotation-stable) exactly when the mirror (the quarter turn)
-maps some member onto a shift of itself.  The tables of
-:mod:`interweave.tables` build those fixed points, keep the weavable
-ones and canonicalise them with the library's image walk, mapping a
-head to the bitset of its symmetric last rows: the mirror's per
-(first, second) prefix, built once by the prefix's task and dropped
-after it (:func:`~interweave.tables._mirror_table`), and the quarter
-turn's once per order (:func:`~interweave.tables._turn_table`).  The
-loop reads each head's flags with one lookup per table.  At order 5 the
-tables hold the 1 302 self-mirror and 74 rotation-stable classes of the
-705 366.
+maps some member onto a shift of itself, and then every member, the
+canonical tuple too, is a fixed point of the mirror (the quarter turn)
+followed by some shift.  The tables of :mod:`interweave.tables` hold
+those fixed points as walked, mapping a head to the bitset of its
+fixed-point last rows: the mirror's per (first, second) prefix, built
+once by the prefix's task and dropped after it
+(:func:`~interweave.tables._mirror_table`), and the quarter turn's once
+per order (:func:`~interweave.tables._turn_table`).  The loop reads each
+head's entry with one lookup per table and ANDs it with the head's
+weavable classes, so the loop's own minimality scan picks the canonical
+tuples and nothing is canonicalised twice.  At order 5 the tables hold
+3 991 and 417 tuples, which the AND cuts to the 1 302 self-mirror and
+74 rotation-stable classes of the 705 366.
 
 The minimality scan doubles as a stabilizer count: the shift pairs
 whose image equals the matrix itself form its stabilizer, and the orbit
@@ -75,15 +78,15 @@ n**2 pairs.  Exact integer arithmetic throughout — the ``2**(n*n)``
 terms outgrow 64 bits from order 8 on.
 
 Enumeration scales as roughly ``2**(n*(n-1))`` candidates.  Order 6,
-2 105 231 424 candidates, took 128 CPU s in its last measured run (65 s
-of wall time on 2 CPUs); it is a long-running job and must be requested
-explicitly via ``limit_override``; order 7,
-about 1.2e13 candidates, is out of reach and refused.  Shards split the
-work by row prefix: the units are the (first, second) row pairs that
-pass the tests above, in lexicographic order (105 at order 5), and
-shard i of t takes every t-th of them from the i-th on.  Dealing them
-round-robin balances the shards without a work estimate.  Shards merge
-by addition, so large runs parallelize with no shared state.
+2 105 231 424 candidates, is a long-running job (the README records its
+last measured run) and must be requested explicitly via
+``limit_override``; order 7, about 1.2e13 candidates, is out of reach
+and refused.  Shards split the work by row prefix: the units are the
+(first, second) row pairs that pass the tests above, in lexicographic
+order (105 at order 5), and shard i of t takes every t-th of them from
+the i-th on.  Dealing them round-robin balances the shards without a
+work estimate.  Shards merge by addition, so large runs parallelize
+with no shared state.
 
 The prefix is also the unit of every run.  :func:`_run_shards` runs
 each prefix of its shard as one task, shard p of P where P is the prefix
@@ -132,8 +135,8 @@ LIST_FILTERS = ("all", "mirror", "rotation")
 
 MAX_ENUM_ORDER = 6
 # Orders below this run in seconds; a full order-6 enumeration,
-# 2 105 231 424 candidates, took 128 CPU s (65 s of wall time with two
-# jobs on a 2-CPU host) and must be asked for explicitly.
+# 2 105 231 424 candidates, is a long-running job and must be asked for
+# explicitly.
 OVERRIDE_ORDER = 6
 
 MAX_BURNSIDE_ORDER = 16
@@ -433,6 +436,8 @@ def _census_loop(
                 for w, size in orbits.items():
                     if weavable >> w & 1:
                         q_count -= nn - size
+                # The tables hold symmetric tuples as walked; the AND
+                # keeps the canonical weavable ones, the classes.
                 mirror = msym.get(head, 0) & weavable
                 rotation = rsym.get(head, 0) & weavable
                 m_bar += mirror.bit_count()

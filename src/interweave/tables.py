@@ -5,10 +5,12 @@ row words is a bitset, an int with bit w standing for word w (Knuth,
 TAOCP 4A, 7.1.3), so a whole set of last rows is filtered with one AND
 and counted with one popcount.  The tables are built from the word
 kernels of :mod:`interweave.transforms` and cached per order, read-only.
-The rotation-stable classes are built once per order and cached the
-same way; the self-mirror classes are built, not cached, per (first,
-second) row prefix by the task that reads them.  Both come from the
-matrices the quarter turn or the mirror maps to a shift of themselves.
+The symmetric tables hold the matrices the quarter turn or the mirror
+maps to a shift of themselves, as walked: they canonicalise nothing,
+and the census loop ANDs each head's entry with its canonical weavable
+last rows.  The quarter turn's table is built once per order and cached
+the same way; the mirror's is built, not cached, per (first, second)
+row prefix by the task that reads it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from functools import lru_cache
 from itertools import compress, product
 from math import gcd
 
-from .bitmatrix import BitMatrix
-from .classify import canonical, is_weavable
 from .transforms import reverse_words, rotate90_words, rotate_words
 
 
@@ -72,19 +72,14 @@ def _bit_tables(n):
     return covers, misses, below, under, fixed
 
 
-def _class_table(matrices, start=()):
-    """The weavable classes among the row-word tuples ``matrices`` whose
-    canonical tuple starts with the rows ``start``, as a table: the head
-    of each canonical tuple, its first n - 1 rows, maps to the bitset of
-    the last rows that complete one."""
+def _head_table(matrices):
+    """The row-word tuples ``matrices`` as a table: the head of each
+    tuple, its first n - 1 rows, maps to the bitset of the last rows
+    that complete one."""
     table = {}
     for rows in matrices:
-        a = BitMatrix(rows)
-        if is_weavable(a):
-            rows = canonical(a).rows
-            if rows[: len(start)] == start:
-                head = rows[:-1]
-                table[head] = table.get(head, 0) | 1 << rows[-1]
+        head = rows[:-1]
+        table[head] = table.get(head, 0) | 1 << rows[-1]
     return table
 
 
@@ -99,7 +94,8 @@ def _mirror_fixed_points(n, first, second):
     the cycle alternates it with its reflection, which must be the word
     itself when the cycle is odd.  Rows 0 and 1 start cycles 0 and 1,
     so they are the first two words chosen; with one cycle, row 1
-    follows from row 0 and only row 0 is chosen.
+    follows from row 0 and only row 0 is chosen, so row 1 may differ
+    from ``second``.
     """
     rotl, least, _, brev = _shift_tables(n)
     for l in range(n):
@@ -122,9 +118,9 @@ def _mirror_fixed_points(n, first, second):
                 yield tuple([run[i] for i in at])
 
 
-def _turn_fixed_points(n, shifts):
+def _turn_fixed_points(n):
     """The matrices the quarter turn maps to a shift (k, l) of
-    themselves, for each (k, l) in ``shifts``.
+    themselves, for every shift.
 
     Such a matrix is fixed by the cell permutation that turns and then
     shifts back by (k, l), so it is constant on each cycle of that
@@ -132,7 +128,7 @@ def _turn_fixed_points(n, shifts):
     cycles are walked on one-cell matrices with the word kernels.
     """
     zero = (0,) * n
-    for k, l in shifts:
+    for k, l in product(range(n), repeat=2):
         cycles = []  # the row words of each cycle's cells
         seen = set()
         for i in range(n):
@@ -151,40 +147,48 @@ def _turn_fixed_points(n, shifts):
 
 
 def _mirror_table(n, first, second):
-    """The self-mirror interweaving classes whose canonical tuple starts
-    with the rows ``first`` and ``second``, as a table: the head of each
-    canonical row-word tuple, its first n - 1 rows, maps to the bitset
-    of the last rows that complete one.
+    """The mirror's fixed points of the prefix (first, second), as
+    :func:`_mirror_fixed_points` walks them, in a table: the head of
+    each row-word tuple, its first n - 1 rows, maps to the bitset of the
+    last rows that complete one.
 
     A class is self-mirror exactly when some member A has mirror(A) =
-    g(A) for a shift g, a fixed point of the cell permutation g^-1
-    mirror (the fixed-point view of the Cauchy-Frobenius lemma; de
-    Bruijn, "Polya's theory of counting", 1964).  The class's canonical
-    tuple is such a member, so the fixed points that start with the
-    prefix hold every class the prefix has.  The weavable ones are
-    canonicalised with :func:`~interweave.classify.canonical`, the
-    library's image walk, and kept when the canonical tuple starts with
-    the prefix.  A zero first row never weaves.  Not cached: a prefix's
-    task builds its table once.
+    g(A) for a shift g.  Then every member is a fixed point of the cell
+    permutation g^-1 mirror for some g (the fixed-point view of the
+    Cauchy-Frobenius lemma; de Bruijn, "Polya's theory of counting",
+    1964), the canonical tuple too, and the table holds every fixed
+    point with the prefix whose rows, like the generator's, rotate to
+    nothing below ``first``.  So the census loop, which ANDs a
+    head's entry with the head's canonical weavable last rows, keeps
+    exactly its self-mirror classes; nothing here is canonicalised.
+    Where one cycle of rows leaves row 1 to follow from row 0, the
+    table also holds a few heads of other prefixes.  No filter drops
+    them: the loop never looks them up, and at order 2, where the head
+    is row 0 alone, the loop's only last row is the prefix's row 1.  A
+    zero first row never weaves.  Not cached: a prefix's task builds its
+    table once.
     """
     if not first:
         return {}
-    return _class_table(_mirror_fixed_points(n, first, second), (first, second))
+    return _head_table(_mirror_fixed_points(n, first, second))
 
 
 @lru_cache(maxsize=None)
 def _turn_table(n):
-    """The rotation-stable interweaving classes of order n, as a table
+    """The quarter turn's fixed points of order n that the census loop
+    can build, row 0 a necklace and no row rotating below it, as a table
     like :func:`_mirror_table`'s.
 
-    Each member A of such a class has h(A) = g(A) for the quarter turn h
-    and a shift g.  For B = t(A), h(B) = (h(t) - t + g)(B), so one g per
-    coset of the image of t -> h(t) - t is enough: (0, l) with
-    l < gcd(2, n), since h - 1 has Smith form diag(1, 2).  Cached per
-    order; the table is read-only.
+    Each member of a rotation-stable class is a fixed point of the
+    quarter turn followed by some shift, the canonical tuple too, so
+    the census loop's AND with a head's canonical weavable last rows
+    keeps exactly the head's rotation-stable classes.  The other fixed
+    points would only take room.  Cached per order; the table is
+    read-only.
     """
-    shifts = [(0, l) for l in range(gcd(2, n))]
-    return _class_table(_turn_fixed_points(n, shifts))
+    least = _shift_tables(n)[1]
+    points = _turn_fixed_points(n)
+    return _head_table(p for p in points if min(least[w] for w in p) == p[0])
 
 
 # Maps the binary digits of a bitset to the bytes 0 and 1.

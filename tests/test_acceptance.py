@@ -471,6 +471,6 @@ def test_criterion_7_order_6_declared_out_of_scope(capsys):
             "verified via Burnside",
             stretch_documented and guarded and override_available
             and b_bar_6_covered,
-            "full order-6 enumeration: 65 s wall, 128 CPU s with "
+            "full order-6 enumeration: 59 s wall, 117 CPU s with "
             "--jobs 2 on 2 CPUs; rerun by the CI order6 job",
         )
