@@ -47,15 +47,15 @@ self-mirror (rotation-stable) exactly when the mirror (the quarter turn)
 maps some member onto a shift of itself, and then every member, the
 canonical tuple too, is a fixed point of the mirror (the quarter turn)
 followed by some shift.  The tables of :mod:`interweave.tables` hold
-those fixed points as walked, mapping a head to the bitset of its
-fixed-point last rows: the mirror's per (first, second) prefix, built
-once by the prefix's task and dropped after it
-(:func:`~interweave.tables._mirror_table`), and the quarter turn's once
-per order (:func:`~interweave.tables._turn_table`).  The loop reads each
-head's entry with one lookup per table and ANDs it with the head's
+those fixed points as walked, the ones the generator could build with
+the prefix, mapping a head to the bitset of its fixed-point last rows
+(:func:`~interweave.tables._symmetric_table`): one table per symmetry
+and (first, second) prefix, both built by the prefix's task from one
+walk of the kernel's cell cycles and dropped after it.  The loop reads
+each head's entry with one lookup per table and ANDs it with the head's
 weavable classes, so the loop's own minimality scan picks the canonical
 tuples and nothing is canonicalised twice.  At order 5 the tables hold
-3 991 and 417 tuples, which the AND cuts to the 1 302 self-mirror and
+3 892 and 180 tuples, which the AND cuts to the 1 302 self-mirror and
 74 rotation-stable classes of the 705 366.
 
 The minimality scan doubles as a stabilizer count: the shift pairs
@@ -121,9 +121,8 @@ from typing import Callable, NamedTuple, Optional
 from .bitmatrix import BitMatrix
 from .classify import ClassRecord
 from .formats import _format_words
-from .tables import (
-    _bit_tables, _bitset, _mirror_table, _select, _shift_tables, _turn_table
-)
+from .tables import _bit_tables, _bitset, _select, _shift_tables, _symmetric_table
+from .transforms import reverse_words, rotate90_words
 
 INTERWEAVINGS = "interweavings"
 ALL = "all"
@@ -367,9 +366,8 @@ def _census_loop(
     weavable_mode = cfg.mode == INTERWEAVINGS
     index, total = cfg.shard
 
-    rotl, least, anchors = _shift_tables(n)[:3]
+    rotl, least, anchors = _shift_tables(n)
     covers, misses = _bit_tables(n)[:2]
-    rsym = _turn_table(n)
     nn = n * n
 
     candidates = rejected_weavability = rejected_minimality = 0
@@ -392,7 +390,8 @@ def _census_loop(
         # The fold rejects a 0 or all-ones last row.
         two_colour = pool_bits & ~(1 | 1 << top)
         dead, anchored = _anchor_masks(first, second, n)
-        msym = _mirror_table(n, first, second)
+        msym = _symmetric_table(n, reverse_words, first, second)
+        rsym = _symmetric_table(n, rotate90_words, first, second)
         for mid in mids:
             head = start + mid
             ored, anded = start_or, start_and

@@ -5,21 +5,22 @@ row words is a bitset, an int with bit w standing for word w (Knuth,
 TAOCP 4A, 7.1.3), so a whole set of last rows is filtered with one AND
 and counted with one popcount.  The tables are built from the word
 kernels of :mod:`interweave.transforms` and cached per order, read-only.
-The symmetric tables hold the matrices the quarter turn or the mirror
+The symmetric tables hold the matrices the mirror or the quarter turn
 maps to a shift of themselves, as walked: they canonicalise nothing,
 and the census loop ANDs each head's entry with its canonical weavable
-last rows.  The quarter turn's table is built once per order and cached
-the same way; the mirror's is built, not cached, per (first, second)
-row prefix by the task that reads it.
+last rows.  Both come from one walk, the cycles of the cell permutation
+"word kernel, then shift back", cached per order, kernel and shift; the
+task of each (first, second) row prefix builds its two tables from
+them, not cached, and drops them after the prefix.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, product
-from math import gcd
+from operator import add
 
-from .transforms import reverse_words, rotate90_words, rotate_words
+from .transforms import rotate_words
 
 
 @lru_cache(maxsize=None)
@@ -28,9 +29,8 @@ def _shift_tables(n):
 
     ``rotl[l][w]`` is w rotated right by l places, ``least[w]`` the least
     rotation of w, ``anchors[w]`` the rotations l, ascending, with
-    ``rotl[l][w] == least[w]``: more than one exactly when w is periodic,
-    and ``brev[w]`` w with its n bits reversed.  Built once per order and
-    process; the tuples are read-only.
+    ``rotl[l][w] == least[w]``: more than one exactly when w is periodic.
+    Built once per order and process; the tuples are read-only.
     """
     words = range(1 << n)
     rotl = tuple(rotate_words(words, l, n) for l in range(n))
@@ -38,7 +38,7 @@ def _shift_tables(n):
     anchors = tuple(
         tuple(l for l in range(n) if rotl[l][w] == least[w]) for w in words
     )
-    return rotl, least, anchors, reverse_words(words, n)
+    return rotl, least, anchors
 
 
 def _bitset(words):
@@ -72,123 +72,98 @@ def _bit_tables(n):
     return covers, misses, below, under, fixed
 
 
-def _head_table(matrices):
-    """The row-word tuples ``matrices`` as a table: the head of each
-    tuple, its first n - 1 rows, maps to the bitset of the last rows
-    that complete one."""
-    table = {}
-    for rows in matrices:
-        head = rows[:-1]
-        table[head] = table.get(head, 0) | 1 << rows[-1]
-    return table
+@lru_cache(maxsize=None)
+def _cycles(n, kernel, k, l):
+    """The cycles of the cell permutation that applies ``kernel``, the
+    word kernel :func:`~interweave.transforms.reverse_words` or
+    :func:`~interweave.transforms.rotate90_words`, and then shifts back
+    by (k, l), each as the row words of its cells.
 
-
-def _mirror_fixed_points(n, first, second):
-    """The matrices the mirror maps to a shift (k, l) of themselves, for
-    every shift, whose rows 0 and 1 are ``first`` and ``second`` where
-    the shift lets them be chosen, and whose rows all rotate to nothing
-    below ``first``.
-
-    With refl(w) = ``rotl[-l][brev[w]]``, an involution, such a matrix
-    has row i + k = refl(row i): one word per cycle of i -> i + k, and
-    the cycle alternates it with its reflection, which must be the word
-    itself when the cycle is odd.  Rows 0 and 1 start cycles 0 and 1,
-    so they are the first two words chosen; with one cycle, row 1
-    follows from row 0 and only row 0 is chosen, so row 1 may differ
-    from ``second``.
-    """
-    rotl, least, _, brev = _shift_tables(n)
-    for l in range(n):
-        refl = [rotl[-l][v] for v in brev]
-        pool = [w for w, v in enumerate(refl) if least[w] >= first <= least[v]]
-        selfs = [w for w in pool if refl[w] == w]
-        for k in range(n):
-            d = gcd(n, k)  # cycles, each of m rows
-            m = n // d
-            words = selfs if m % 2 else pool
-            # Row c + j*k of cycle c is entry j*d + c of the run that
-            # alternates the chosen words and their reflections.
-            at = [0] * n
-            for j in range(m):
-                for c in range(d):
-                    at[(c + j * k) % n] = j * d + c
-            pinned = [[w] if w in words else [] for w in (first, second)[:d]]
-            for chosen in product(*pinned, *[words] * (d - 2)):
-                run = (chosen + tuple([refl[w] for w in chosen])) * m
-                yield tuple([run[i] for i in at])
-
-
-def _turn_fixed_points(n):
-    """The matrices the quarter turn maps to a shift (k, l) of
-    themselves, for every shift.
-
-    Such a matrix is fixed by the cell permutation that turns and then
-    shifts back by (k, l), so it is constant on each cycle of that
-    permutation, and every choice of a constant per cycle is one.  The
-    cycles are walked on one-cell matrices with the word kernels.
+    The matrices the kernel maps to their shift (k, l) are those the
+    permutation fixes, the unions of its cycles (de Bruijn, "Polya's
+    theory of counting", 1964).  The cycles are walked on one-cell
+    matrices.  Cached per order, kernel and shift; the tuples are
+    read-only.
     """
     zero = (0,) * n
-    for k, l in product(range(n), repeat=2):
-        cycles = []  # the row words of each cycle's cells
-        seen = set()
-        for i in range(n):
-            for j in range(n):
-                cell = zero[:i] + (1 << j,) + zero[i + 1 :]
-                cycle = []
-                while cell not in seen:
-                    seen.add(cell)
-                    cycle.append(cell)
-                    turned = rotate_words(rotate90_words(cell, n), -l % n, n)
-                    cell = turned[-k:] + turned[:-k]
-                if cycle:
-                    cycles.append(tuple(map(sum, zip(*cycle))))
-        for bits in range(1 << len(cycles)):
-            yield tuple(map(sum, zip(zero, *_select(cycles, bits))))
+    cycles = []
+    seen = set()
+    for i, j in product(range(n), repeat=2):
+        cell = zero[:i] + (1 << j,) + zero[i + 1 :]
+        cycle = []
+        while cell not in seen:
+            seen.add(cell)
+            cycle.append(cell)
+            moved = rotate_words(kernel(cell, n), -l % n, n)
+            cell = moved[-k:] + moved[:-k]
+        if cycle:
+            cycles.append(tuple(map(sum, zip(*cycle))))
+    return tuple(cycles)
 
 
-def _mirror_table(n, first, second):
-    """The mirror's fixed points of the prefix (first, second), as
-    :func:`_mirror_fixed_points` walks them, in a table: the head of
-    each row-word tuple, its first n - 1 rows, maps to the bitset of the
-    last rows that complete one.
+def _symmetric_table(n, kernel, first, second):
+    """The matrices ``kernel`` maps to a shift of themselves, over all n**2
+    shifts, that the census loop can build with the prefix (first,
+    second): rows 0 and 1 are the prefix, and no row rotates below
+    ``first``.  As a table: the head of each row-word tuple, its first
+    n - 1 rows, maps to the bitset of the last rows that complete one.
 
-    A class is self-mirror exactly when some member A has mirror(A) =
-    g(A) for a shift g.  Then every member is a fixed point of the cell
-    permutation g^-1 mirror for some g (the fixed-point view of the
-    Cauchy-Frobenius lemma; de Bruijn, "Polya's theory of counting",
-    1964), the canonical tuple too, and the table holds every fixed
-    point with the prefix whose rows, like the generator's, rotate to
-    nothing below ``first``.  So the census loop, which ANDs a
-    head's entry with the head's canonical weavable last rows, keeps
-    exactly its self-mirror classes; nothing here is canonicalised.
-    Where one cycle of rows leaves row 1 to follow from row 0, the
-    table also holds a few heads of other prefixes.  No filter drops
-    them: the loop never looks them up, and at order 2, where the head
-    is row 0 alone, the loop's only last row is the prefix's row 1.  A
-    zero first row never weaves.  Not cached: a prefix's task builds its
-    table once.
+    A class is self-mirror (rotation-stable) exactly when the mirror
+    (the quarter turn) maps some member to a shift of itself.  Then
+    every member, the canonical tuple too, is a fixed point of the
+    kernel followed by some shift back, so the census loop, which ANDs
+    a head's entry with the head's canonical weavable last rows, keeps
+    exactly its symmetric classes; nothing here is canonicalised.
+
+    Per shift, a fixed point is a union of the :func:`_cycles`.  Rows 0
+    and 1 decide each cycle that meets them: set when its cells there
+    are all set, clear when none is, and no fixed point when some are.
+    The other cycles fall into components that share rows, each row
+    from 1 on in one; a component's choices of its cycles are kept when
+    its rows, with the bits the decided cycles set there, pass the row
+    test.  A fixed point takes one kept choice per component, and the
+    component that holds the last row joins the table grouped by head,
+    as last-row bitsets.  A zero first row never weaves.  Not cached: a
+    prefix's task builds its tables once.
     """
     if not first:
         return {}
-    return _head_table(_mirror_fixed_points(n, first, second))
-
-
-@lru_cache(maxsize=None)
-def _turn_table(n):
-    """The quarter turn's fixed points of order n that the census loop
-    can build, row 0 a necklace and no row rotating below it, as a table
-    like :func:`_mirror_table`'s.
-
-    Each member of a rotation-stable class is a fixed point of the
-    quarter turn followed by some shift, the canonical tuple too, so
-    the census loop's AND with a head's canonical weavable last rows
-    keeps exactly the head's rotation-stable classes.  The other fixed
-    points would only take room.  Cached per order; the table is
-    read-only.
-    """
     least = _shift_tables(n)[1]
-    points = _turn_fixed_points(n)
-    return _head_table(p for p in points if min(least[w] for w in p) == p[0])
+    table = {}
+    for k, l in product(range(n), repeat=2):
+        cycles = _cycles(n, kernel, k, l)
+        # The cycles rows 0 and 1 set, those that meet them on set bits
+        # only.  A cycle that meets them on set and clear bits is left
+        # out, and so is a set bit of the prefix.
+        met = (c for c in cycles if c[0] | c[1] and not c[0] & ~first | c[1] & ~second)
+        base = tuple(map(sum, zip((0,) * n, *met)))
+        if base[:2] != (first, second):
+            continue
+        parts = {1 << i: [] for i in range(1, n)}  # rows -> cycles
+        for c in cycles:
+            if not c[0] | c[1]:
+                meets = _bitset(i for i, w in enumerate(c) if w)
+                joined = [rows for rows in parts if rows & meets]
+                parts[sum(joined)] = sum((parts.pop(rows) for rows in joined), [c])
+        # The rows are disjoint, so the last row's component sorts last.
+        choices = []
+        for rows, group in sorted(parts.items()):
+            at = [i for i in range(n) if rows >> i & 1]
+            picks = [(0,) * n]
+            for c in group:
+                picks += [tuple(map(add, w, c)) for w in picks]
+            choices.append(
+                [w for w in picks if all(least[base[i] + w[i]] >= first for i in at)]
+            )
+        heads = {}  # the last row's component grouped by head
+        for w in choices.pop():
+            head = tuple(map(add, base, w[:-1]))
+            heads[head] = heads.get(head, 0) | 1 << base[-1] + w[-1]
+        for kept in choices:
+            heads = {tuple(map(add, h, w)): b for h, b in heads.items() for w in kept}
+        for head, bits in heads.items():
+            table[head] = table.get(head, 0) | bits
+    return table
 
 
 # Maps the binary digits of a bitset to the bytes 0 and 1.

@@ -449,9 +449,9 @@ def test_criterion_6_performance_trend(capsys):
 
 # -- criterion 7: order 6, behind limit_override ------------------------------------------
 
-def test_criterion_7_order_6_declared_out_of_scope(capsys):
+def test_criterion_7_order_6_pinned_behind_limit_override(capsys):
     expected = load_expected()
-    stretch_documented = (
+    pinned = (
         expected[6, "q_bar"] == 1_304_451_482
         and expected[6, "m_bar"] == 586_060
         and expected[6, "r_bar"] == 902
@@ -469,8 +469,8 @@ def test_criterion_7_order_6_declared_out_of_scope(capsys):
             "order-6 class counts are pinned from a measured full run "
             "behind limit_override; its all-classes count is also "
             "verified via Burnside",
-            stretch_documented and guarded and override_available
+            pinned and guarded and override_available
             and b_bar_6_covered,
-            "full order-6 enumeration: 59 s wall, 117 CPU s with "
+            "full order-6 enumeration: 45 s wall, 88 CPU s with "
             "--jobs 2 on 2 CPUs; rerun by the CI order6 job",
         )

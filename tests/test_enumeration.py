@@ -44,7 +44,8 @@ from interweave.enumeration import (
     _prefixes,
     _run_shards,
 )
-from interweave.tables import _bit_tables, _mirror_table, _shift_tables, _turn_table
+from interweave.tables import _bit_tables, _cycles, _shift_tables, _symmetric_table
+from interweave.transforms import reverse_words, rotate90_words
 
 SMALL_CENSUS = {
     # n: (q_count, b_bar, q_bar, m_bar, r_bar)
@@ -196,13 +197,12 @@ def _rotations_by_string(word, n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_anchors_are_the_rotations_onto_the_least(n):
-    _, least, anchors, brev = _shift_tables(n)
+    _, least, anchors = _shift_tables(n)
     for w in range(1 << n):
         rotations = _rotations_by_string(w, n)
         assert least[w] == min(rotations)
         expected = {l for l in range(n) if rotations[l] == least[w]}
         assert anchors[w] and set(anchors[w]) == expected
-        assert brev[w] == int(format(w, f"0{n}b")[::-1], 2)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -211,7 +211,7 @@ def test_last_row_bits_on_every_generated_shape(n):
     # decided per head as the census loop decides it: the head half
     # from the first n - 1 rows alone, then the prefix's anchor masks,
     # and the last-row bitsets wherever a pair still ties.
-    rotl, least, anchors, _ = _shift_tables(n)
+    rotl, least, anchors = _shift_tables(n)
     words = range(1 << n)
     seen = {"head": 0, "rejected": 0, "stabilized": 0}
     for first in words:
@@ -258,7 +258,7 @@ def test_scan_halves_on_every_generated_shape(n):
     # one tuple at a time: the head half decides from the first n - 1
     # rows alone, and the last-row half, given the one-word bitset of
     # the tuple's last row, resumes the pairs it leaves tied.
-    rotl, least, anchors, _ = _shift_tables(n)
+    rotl, least, anchors = _shift_tables(n)
     words = range(1 << n)
     decided = {"head": 0, "last row": 0}
     for first in words:
@@ -400,43 +400,48 @@ def _prefix_list(n, **kwargs):
     return [p for p, _ in _prefixes(EnumConfig(n, **kwargs), _shift_tables(n)[1])]
 
 
+# Each symmetry's word kernel and its oracle move.
+SYMMETRIES = ((reverse_words, oracle.mirror_grid), (rotate90_words, oracle.rot90_grid))
+
+
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_symmetric_tables_equal_the_oracle_classes(n):
-    # Sound: every tuple of every table is symmetric, those under a head
-    # of another prefix too.  Complete: every symmetric weavable class
-    # has its canonical tuple in its prefix's mirror table, or in the
-    # turn table.
-    mirror = {p: set(_entries(_mirror_table(n, *p))) for p in _prefix_list(n)}
-    rotation = set(_entries(_turn_table(n)))
-    walked = (
-        (set().union(*mirror.values()), oracle.mirror_grid),
-        (rotation, oracle.rot90_grid),
-    )
-    for table, move in walked:
-        for rows in table:
-            grid = oracle.words_to_grid(rows, n)
-            assert move(grid) in oracle.images(grid), rows
+    # Sound and complete per prefix: a table holds exactly the members of
+    # the oracle's symmetric classes that the generator could build with
+    # its prefix, row 0 the least rotation of every row.  The canonical
+    # tuple of every symmetric weavable class is one of them.
+    least = _shift_tables(n)[1]
+    expected = {kernel: {} for kernel, _ in SYMMETRIES}
     for rep in oracle.partition_by_class(n):
-        if not oracle.is_weavable_grid(rep):
-            continue
         members = oracle.images(rep)
-        rows = oracle.grid_to_words(rep)
-        if oracle.mirror_grid(rep) in members:
-            assert rows in mirror[rows[:2]], rows
-        if oracle.rot90_grid(rep) in members:
-            assert rows in rotation, rows
+        for kernel, move in SYMMETRIES:
+            if move(rep) in members:
+                for rows in map(oracle.grid_to_words, members):
+                    if min(least[w] for w in rows) == rows[0]:
+                        expected[kernel].setdefault(rows[:2], set()).add(rows)
+    for kernel, prefixes in expected.items():
+        for first, second in _prefix_list(n, mode=ALL):
+            table = set(_entries(_symmetric_table(n, kernel, first, second)))
+            if first:
+                assert table == prefixes.get((first, second), set()), (first, second)
+            else:  # a zero first row never weaves
+                assert not table
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_symmetric_tables_count_the_packaged_m_bar_and_r_bar(n):
-    # Order 6 counts the turn table alone: the cheapest check that its
-    # all-shift walk reaches every rotation-stable class.  The order-6
+    # Order 6 counts the turn tables alone: the cheapest order-6 check
+    # that the tables reach every rotation-stable class.  The order-6
     # mirror tables hold about 1.5 million tuples.
     expected = load_expected()
+    prefixes = _prefix_list(n, limit_override=True)
+
+    def counted(kernel):
+        return sum(len(_classes(_symmetric_table(n, kernel, *p), p)) for p in prefixes)
+
     if n < 6:
-        kept = [_classes(_mirror_table(n, *p), p) for p in _prefix_list(n)]
-        assert sum(map(len, kept)) == expected[n, "m_bar"]
-    assert len(_classes(_turn_table(n))) == expected[n, "r_bar"]
+        assert counted(reverse_words) == expected[n, "m_bar"]
+    assert counted(rotate90_words) == expected[n, "r_bar"]
 
 
 def test_chiral_first_row_has_no_self_mirror_class():
@@ -449,7 +454,7 @@ def test_chiral_first_row_has_no_self_mirror_class():
     for prefix in _prefix_list(6, limit_override=True):
         first = prefix[0]
         if first in (11, 13, 15, 23, 27, 31):
-            kept = _classes(_mirror_table(6, *prefix), prefix)
+            kept = _classes(_symmetric_table(6, reverse_words, *prefix), prefix)
             found[first] = found.get(first, 0) + len(kept)
     assert found == {11: 3563, 13: 0, 15: 672, 23: 795, 27: 32, 31: 4}
 
@@ -457,9 +462,9 @@ def test_chiral_first_row_has_no_self_mirror_class():
 def test_tables_are_built_on_first_use_and_read_only():
     probe = (
         "import interweave.cli\n"
-        "from interweave.tables import _bit_tables, _shift_tables, _turn_table\n"
+        "from interweave.tables import _bit_tables, _cycles, _shift_tables\n"
         "print(*(f.cache_info().currsize for f in"
-        " (_shift_tables, _bit_tables, _turn_table)))\n"
+        " (_shift_tables, _bit_tables, _cycles)))\n"
     )
     src = os.path.dirname(os.path.dirname(enumeration.__file__))
     proc = subprocess.run(
@@ -473,35 +478,37 @@ def test_tables_are_built_on_first_use_and_read_only():
     assert proc.stdout.split() == ["0", "0", "0"]
     assert _shift_tables(5) is _shift_tables(5)
     assert _bit_tables(5) is _bit_tables(5)
-    assert _turn_table(5) is _turn_table(5)
-    for table in (*_shift_tables(5), *_bit_tables(5)):
+    assert _cycles(5, rotate90_words, 1, 2) is _cycles(5, rotate90_words, 1, 2)
+    for table in (*_shift_tables(5), *_bit_tables(5), _cycles(5, reverse_words, 0, 0)):
         assert isinstance(table, tuple)
-    # Nothing caches a mirror table: each prefix's task builds its own.
-    assert not hasattr(_mirror_table, "cache_info")
-    table = _mirror_table(5, 1, 1)
-    assert table and _mirror_table(5, 1, 1) is not table
+    # Nothing caches a symmetric table: each prefix's task builds its own.
+    assert not hasattr(_symmetric_table, "cache_info")
+    for kernel, _ in SYMMETRIES:
+        table = _symmetric_table(5, kernel, 1, 1)
+        assert table and _symmetric_table(5, kernel, 1, 1) is not table
 
 
-def test_each_prefix_mirror_table_is_built_once_per_run(tmp_path, monkeypatch):
-    # In this process and on a pool, the task of a prefix builds its
-    # mirror table once; forked workers inherit the patch and log each
-    # build to the same file.
-    real = enumeration._mirror_table
+def test_each_prefix_builds_its_symmetric_tables_once_per_run(tmp_path, monkeypatch):
+    # In this process and on a pool, the task of a prefix builds each
+    # symmetry's table once; forked workers inherit the patch and log
+    # each build to the same file.
+    real = enumeration._symmetric_table
     log = tmp_path / "built.txt"
 
-    def logged(n, first, second):
+    def logged(n, kernel, first, second):
         with open(log, "a") as handle:
-            handle.write(f"{first} {second}\n")
-        return real(n, first, second)
+            handle.write(f"{kernel.__name__} {first} {second}\n")
+        return real(n, kernel, first, second)
 
-    monkeypatch.setattr(enumeration, "_mirror_table", logged)
+    monkeypatch.setattr(enumeration, "_symmetric_table", logged)
     for n, jobs in ((5, 1), (4, 2)):
         log.write_text("")
         _run_shards(EnumConfig(n), jobs)
-        lines = log.read_text().splitlines()
-        built = sorted(tuple(map(int, line.split())) for line in lines)
-        assert built == _prefix_list(n)
-        assert len(built) == (105 if n == 5 else 34)
+        built = [line.split() for line in log.read_text().splitlines()]
+        assert len(built) == 2 * (105 if n == 5 else 34)
+        for kernel, _ in SYMMETRIES:
+            prefixes = [(int(f), int(s)) for name, f, s in built if name == kernel.__name__]
+            assert sorted(prefixes) == _prefix_list(n)
 
 
 # -- Burnside oracle ------------------------------------------------------------------
