@@ -9,9 +9,10 @@ The symmetric tables hold the matrices the mirror or the quarter turn
 maps to a shift of themselves, as walked: they canonicalise nothing,
 and the census loop ANDs each head's entry with its canonical weavable
 last rows.  Both come from one walk, the cycles of the cell permutation
-"word kernel, then shift back", cached per order, kernel and shift; the
-task of each (first, second) row prefix builds its two tables from
-them, not cached, and drops them after the prefix.
+"word kernel, then shift back", filed under their top rows and cached
+per order, kernel and shift.  The task of each (first, second) row
+prefix builds its two tables from them row by row, as the census loop
+builds its tuples, not cached, and drops them after the prefix.
 """
 
 from __future__ import annotations
@@ -77,19 +78,19 @@ def _cycles(n, kernel, k, l):
     """The cycles of the cell permutation that applies ``kernel``, the
     word kernel :func:`~interweave.transforms.reverse_words` or
     :func:`~interweave.transforms.rotate90_words`, and then shifts back
-    by (k, l), each as the row words of its cells.
+    by (k, l), each as the row words of its cells, filed under its top
+    row: n tuples, the i-th holding the cycles whose first set row is i.
 
     The matrices the kernel maps to their shift (k, l) are those the
     permutation fixes, the unions of its cycles (de Bruijn, "Polya's
     theory of counting", 1964).  The cycles are walked on one-cell
-    matrices.  Cached per order, kernel and shift; the tuples are
-    read-only.
+    matrices in row-major order, which meets each cycle first at its top
+    row.  Cached per order, kernel and shift; the tuples are read-only.
     """
-    zero = (0,) * n
-    cycles = []
+    tops = tuple([] for _ in range(n))
     seen = set()
     for i, j in product(range(n), repeat=2):
-        cell = zero[:i] + (1 << j,) + zero[i + 1 :]
+        cell = (0,) * i + (1 << j,) + (0,) * (n - 1 - i)
         cycle = []
         while cell not in seen:
             seen.add(cell)
@@ -97,14 +98,14 @@ def _cycles(n, kernel, k, l):
             moved = rotate_words(kernel(cell, n), -l % n, n)
             cell = moved[-k:] + moved[:-k]
         if cycle:
-            cycles.append(tuple(map(sum, zip(*cycle))))
-    return tuple(cycles)
+            tops[i].append(tuple(map(sum, zip(*cycle))))
+    return tuple(map(tuple, tops))
 
 
 def _symmetric_table(n, kernel, first, second):
     """The matrices ``kernel`` maps to a shift of themselves, over all n**2
-    shifts, that the census loop can build with the prefix (first,
-    second): rows 0 and 1 are the prefix, and no row rotates below
+    shifts, that the census loop can build with its prefix (first,
+    second): rows 0 and 1 are the prefix, and no later row rotates below
     ``first``.  As a table: the head of each row-word tuple, its first
     n - 1 rows, maps to the bitset of the last rows that complete one.
 
@@ -115,54 +116,47 @@ def _symmetric_table(n, kernel, first, second):
     a head's entry with the head's canonical weavable last rows, keeps
     exactly its symmetric classes; nothing here is canonicalised.
 
-    Per shift, a fixed point is a union of the :func:`_cycles`.  Rows 0
-    and 1 decide each cycle that meets them: set when its cells there
-    are all set, clear when none is, and no fixed point when some are.
-    The other cycles fall into components that share rows, each row
-    from 1 on in one; a component's choices of its cycles are kept when
-    its rows, with the bits the decided cycles set there, pass the row
-    test.  A fixed point takes one kept choice per component, and the
-    component that holds the last row joins the table grouped by head,
-    as last-row bitsets.  A zero first row never weaves.  Not cached: a
-    prefix's task builds its tables once.
+    Per shift, a fixed point is a union of the :func:`_cycles`, built
+    row by row as the census loop builds its tuples (Read, "Every one a
+    winner", 1978).  Rows 0 and 1 decide each cycle filed under them:
+    set when its cells there are all set, clear when none is, and no
+    fixed point when some are.  Each later row adds the cycles filed
+    under it to every point so far; the row is then final, and the
+    points whose row fails the row test are dropped.  The cycles filed
+    under the last row lie in it alone, so each point's last rows are
+    one bitset, worked out once per shift and value.  A zero first row
+    never weaves.  Not cached: a prefix's task builds its tables once.
     """
     if not first:
         return {}
     least = _shift_tables(n)[1]
     table = {}
     for k, l in product(range(n), repeat=2):
-        cycles = _cycles(n, kernel, k, l)
+        tops = _cycles(n, kernel, k, l)
         # The cycles rows 0 and 1 set, those that meet them on set bits
         # only.  A cycle that meets them on set and clear bits is left
         # out, and so is a set bit of the prefix.
-        met = (c for c in cycles if c[0] | c[1] and not c[0] & ~first | c[1] & ~second)
+        met = (c for c in tops[0] + tops[1] if not c[0] & ~first | c[1] & ~second)
         base = tuple(map(sum, zip((0,) * n, *met)))
         if base[:2] != (first, second):
             continue
-        parts = {1 << i: [] for i in range(1, n)}  # rows -> cycles
-        for c in cycles:
-            if not c[0] | c[1]:
-                meets = _bitset(i for i, w in enumerate(c) if w)
-                joined = [rows for rows in parts if rows & meets]
-                parts[sum(joined)] = sum((parts.pop(rows) for rows in joined), [c])
-        # The rows are disjoint, so the last row's component sorts last.
-        choices = []
-        for rows, group in sorted(parts.items()):
-            at = [i for i in range(n) if rows >> i & 1]
-            picks = [(0,) * n]
-            for c in group:
-                picks += [tuple(map(add, w, c)) for w in picks]
-            choices.append(
-                [w for w in picks if all(least[base[i] + w[i]] >= first for i in at)]
-            )
-        heads = {}  # the last row's component grouped by head
-        for w in choices.pop():
-            head = tuple(map(add, base, w[:-1]))
-            heads[head] = heads.get(head, 0) | 1 << base[-1] + w[-1]
-        for kept in choices:
-            heads = {tuple(map(add, h, w)): b for h, b in heads.items() for w in kept}
-        for head, bits in heads.items():
-            table[head] = table.get(head, 0) | bits
+        points = [base]
+        for i in range(2, n - 1):
+            for c in tops[i]:
+                points += [tuple(map(add, w, c)) for w in points]
+            points = [w for w in points if least[w[i]] >= first]
+        # At n = 2 the last row is row 1, already decided.
+        lasts = [0]
+        for c in tops[-1] if n > 2 else ():
+            lasts += [x + c[-1] for x in lasts]
+        memo = {}  # last-row bits a point sets -> its last-row bitset
+        for w in points:
+            bits = memo.get(w[-1])
+            if bits is None:
+                rows = (w[-1] + x for x in lasts)
+                bits = memo[w[-1]] = _bitset(r for r in rows if least[r] >= first)
+            if bits:
+                table[w[:-1]] = table.get(w[:-1], 0) | bits
     return table
 
 

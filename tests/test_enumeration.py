@@ -428,20 +428,26 @@ def test_symmetric_tables_equal_the_oracle_classes(n):
                 assert not table
 
 
+# The tuples the interweaving prefixes' tables hold, summed over the
+# prefixes, per order: (mirror, quarter turn).
+TABLE_SIZES = {2: (2, 1), 3: (8, 4), 4: (618, 50), 5: (3892, 180), 6: (None, 2189)}
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_symmetric_tables_count_the_packaged_m_bar_and_r_bar(n):
     # Order 6 counts the turn tables alone: the cheapest order-6 check
     # that the tables reach every rotation-stable class.  The order-6
-    # mirror tables hold about 1.5 million tuples.
+    # mirror tables hold about 1.5 million tuples.  The sizes pin what
+    # the loop's AND with the weavable last rows would hide: a table
+    # that holds tuples no row test kept.
     expected = load_expected()
     prefixes = _prefix_list(n, limit_override=True)
-
-    def counted(kernel):
-        return sum(len(_classes(_symmetric_table(n, kernel, *p), p)) for p in prefixes)
-
-    if n < 6:
-        assert counted(reverse_words) == expected[n, "m_bar"]
-    assert counted(rotate90_words) == expected[n, "r_bar"]
+    for (kernel, _), key, size in zip(SYMMETRIES, ("m_bar", "r_bar"), TABLE_SIZES[n]):
+        if size is None:
+            continue
+        tables = [(_symmetric_table(n, kernel, *p), p) for p in prefixes]
+        assert sum(bits.bit_count() for t, _ in tables for bits in t.values()) == size
+        assert sum(len(_classes(t, p)) for t, p in tables) == expected[n, key]
 
 
 def test_chiral_first_row_has_no_self_mirror_class():
@@ -457,6 +463,21 @@ def test_chiral_first_row_has_no_self_mirror_class():
             kept = _classes(_symmetric_table(6, reverse_words, *prefix), prefix)
             found[first] = found.get(first, 0) + len(kept)
     assert found == {11: 3563, 13: 0, 15: 672, 23: 795, 27: 32, 31: 4}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_cycles_partition_the_cells_under_their_top_rows(n):
+    # Every cell lies in exactly one cycle, and the cycles filed under
+    # row i clear the rows above it and set row i.
+    for (kernel, _), k, l in itertools.product(SYMMETRIES, range(n), range(n)):
+        tops = _cycles(n, kernel, k, l)
+        cells = [0] * n
+        for i, group in enumerate(tops):
+            for c in group:
+                assert not any(c[:i]) and c[i], (kernel.__name__, k, l, i, c)
+                assert not any(a & b for a, b in zip(cells, c))
+                cells = [a | b for a, b in zip(cells, c)]
+        assert cells == [(1 << n) - 1] * n
 
 
 def test_tables_are_built_on_first_use_and_read_only():
@@ -481,6 +502,10 @@ def test_tables_are_built_on_first_use_and_read_only():
     assert _cycles(5, rotate90_words, 1, 2) is _cycles(5, rotate90_words, 1, 2)
     for table in (*_shift_tables(5), *_bit_tables(5), _cycles(5, reverse_words, 0, 0)):
         assert isinstance(table, tuple)
+    for n, (kernel, _) in itertools.product(range(2, 7), SYMMETRIES):
+        for k, l in itertools.product(range(n), repeat=2):
+            tops = _cycles(n, kernel, k, l)
+            assert len(tops) == n and all(isinstance(g, tuple) for g in tops)
     # Nothing caches a symmetric table: each prefix's task builds its own.
     assert not hasattr(_symmetric_table, "cache_info")
     for kernel, _ in SYMMETRIES:
