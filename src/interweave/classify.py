@@ -5,11 +5,24 @@ onto the other, so a weaving structure *is* an orbit of the shift
 action.  Each orbit is identified by its canonical representative, the
 lexicographically least member.
 
-Every orbit question here is answered by one walk over the n**2 shift
-images on row words: a word rotation for the columns, a tuple rotation
-for the rows.  Images are compared and collected as plain tuples, so
-:class:`BitMatrix` appears only in the results.  Canonicity of a matrix
-streams the walk and bails on the first smaller image.
+Every orbit question here is answered by one anchored walk on row
+words, the idea the census loop's minimality scan uses
+(:mod:`interweave.enumeration`).  The n column rotations of the row
+tuple (the :mod:`interweave.transforms` word rotation) hold the top row
+of every shift image: image (k, l) is column rotation l with its rows
+rotated up k.  The least word among them, ``top``, is the first row of
+the canonical form, so only the images anchored on it, the pairs (k, l)
+whose top row is ``top``, are built as tuples; the canonical form is
+the least of them.  The pairs that carry a matrix onto its canonical
+form make up one coset of its stabilizer, so the orbit size is n**2
+divided by the number of anchored images equal to the canonical form.
+A matrix is canonical when its first row is ``top`` and no anchored
+image is smaller; that test bails on the first smaller image.  A tuple
+lies in the orbit exactly when it equals one of the images anchored on
+its own first row, which is how both symmetry flags are tested.  Only
+:func:`orbit`, which returns them all, builds all n**2 images.  Images
+are compared as plain tuples, so :class:`BitMatrix` appears only in the
+results.
 
 Three predicates describe a class:
 
@@ -33,7 +46,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bitmatrix import BitMatrix
-from .transforms import mirror, rotate90, rotate_words
+from .transforms import reverse_words, rotate90_words, rotate_words
 
 
 class NotInterweavingError(ValueError):
@@ -51,22 +64,40 @@ class ClassRecord:
     rotation_stable: bool
 
 
-def _images(a: BitMatrix) -> Iterator[tuple[int, ...]]:
-    """Row words of all n**2 shift images of ``a``, repeats included."""
-    n = a.n
-    for l in range(n):
-        # Unrotated, the images reuse a's own word objects, so a record
-        # whose canonical form is a row rotation of a holds no copies.
-        rows = rotate_words(a.rows, l, n) if l else a.rows
-        # Each row rotation is one slice of the doubled tuple.
-        rows += rows
-        for k in range(n):
-            yield rows[k : k + n]
+def _rotations(rows: tuple, n: int) -> list[tuple[int, ...]]:
+    """The n column rotations of ``rows``: entry l has each word rotated right l."""
+    # Entry 0 is ``rows`` itself, so a record whose canonical form is a
+    # row rotation of the input reuses its word objects, no copies.
+    return [rows, *(rotate_words(rows, l, n) for l in range(1, n))]
+
+
+def _anchored(rotations, top: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Row words of the shift images whose top row is ``top``, repeats included."""
+    for rows in rotations:
+        if top in rows:
+            # Each row rotation is one slice of the doubled tuple, which
+            # holds ``top`` again at n past each anchor.
+            doubled = rows + rows
+            k = rows.index(top)
+            while k < n:
+                yield doubled[k : k + n]
+                k = doubled.index(top, k + 1)
+
+
+def _is_image(t: tuple, rotations, n: int) -> bool:
+    """True iff the row tuple ``t`` is a shift image of the matrix whose
+    column rotations are ``rotations``."""
+    return t in _anchored(rotations, t[0], n)
 
 
 def orbit(a: BitMatrix) -> set[BitMatrix]:
     """All distinct shift images of ``a``; between 1 and n**2 matrices."""
-    return {BitMatrix(rows) for rows in set(_images(a))}
+    n = a.n
+    images = set()
+    for rows in _rotations(a.rows, n):
+        rows += rows
+        images.update(rows[k : k + n] for k in range(n))
+    return {BitMatrix(rows) for rows in images}
 
 
 def canonical(a: BitMatrix) -> BitMatrix:
@@ -75,7 +106,8 @@ def canonical(a: BitMatrix) -> BitMatrix:
     Constant on orbits and idempotent; the minimum is unique because
     the row-tuple order is total.
     """
-    return BitMatrix(min(_images(a)))
+    rotations = _rotations(a.rows, a.n)
+    return BitMatrix(min(_anchored(rotations, min(map(min, rotations)), a.n)))
 
 
 def is_canonical(a: BitMatrix) -> bool:
@@ -85,8 +117,12 @@ def is_canonical(a: BitMatrix) -> bool:
     """
     rows = a.rows
     # Image (k, 0) puts row k on top, so a smaller row rules a out
-    # before the walk starts.
-    return rows[0] == min(rows) and all(map(rows.__le__, _images(a)))
+    # before the rotations are built.
+    if rows[0] != min(rows):
+        return False
+    rotations = _rotations(rows, a.n)
+    top = min(map(min, rotations))
+    return rows[0] == top and all(map(rows.__le__, _anchored(rotations, top, a.n)))
 
 
 def is_weavable(a: BitMatrix) -> bool:
@@ -118,7 +154,7 @@ def is_self_mirror(a: BitMatrix) -> bool:
         raise NotInterweavingError(
             "self-mirror is defined only for weavable matrices"
         )
-    return mirror(a).rows in set(_images(a))
+    return _is_image(reverse_words(a.rows, a.n), _rotations(a.rows, a.n), a.n)
 
 
 def is_rotation_stable(a: BitMatrix) -> bool:
@@ -131,23 +167,27 @@ def is_rotation_stable(a: BitMatrix) -> bool:
         raise NotInterweavingError(
             "rotation-stable is defined only for weavable matrices"
         )
-    return rotate90(a).rows in set(_images(a))
+    return _is_image(rotate90_words(a.rows, a.n), _rotations(a.rows, a.n), a.n)
 
 
 def classify(a: BitMatrix) -> ClassRecord:
-    """Full class report for ``a`` from a single walk over its images.
+    """Full class report for ``a`` from a single anchored walk.
 
     A class contains a matrix's mirror (or quarter turn) exactly when
     that transform of any member lands inside the orbit, so both flags
     are orbit-membership tests here.  For non-weavable matrices the
     flags are reported as False rather than raising.
     """
-    images = set(_images(a))
+    n = a.n
+    rows = a.rows
+    rotations = _rotations(rows, n)
+    images = list(_anchored(rotations, min(map(min, rotations)), n))
+    least = min(images)
     weavable = is_weavable(a)
     return ClassRecord(
-        canonical=BitMatrix(min(images)),
-        orbit_size=len(images),
+        canonical=BitMatrix(least),
+        orbit_size=n * n // images.count(least),
         is_interweaving=weavable,
-        self_mirror=weavable and mirror(a).rows in images,
-        rotation_stable=weavable and rotate90(a).rows in images,
+        self_mirror=weavable and _is_image(reverse_words(rows, n), rotations, n),
+        rotation_stable=weavable and _is_image(rotate90_words(rows, n), rotations, n),
     )

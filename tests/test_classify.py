@@ -1,6 +1,7 @@
 """Orbits, canonical representatives and the class predicates."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -267,26 +268,80 @@ def _oracle_inputs():
             yield from byte_edge_matrices(n, count=2)
 
 
+def _assert_matches_oracle(a):
+    grid = oracle.words_to_grid(a.rows, a.n)
+    images = oracle.images(grid)
+    weavable = oracle.is_weavable_grid(grid)
+    self_mirror = weavable and oracle.mirror_grid(grid) in images
+    rotation_stable = weavable and oracle.rot90_grid(grid) in images
+    rec = classify(a)
+    assert oracle.words_to_grid(rec.canonical.rows, a.n) == min(images)
+    assert rec.orbit_size == len(images)
+    assert rec.is_interweaving == weavable
+    assert rec.self_mirror == self_mirror
+    assert rec.rotation_stable == rotation_stable
+    if weavable:
+        assert is_self_mirror(a) == self_mirror
+        assert is_rotation_stable(a) == rotation_stable
+
+
 def test_classify_matches_oracle_on_every_field():
-    # classify, orbit, canonical and the predicates share one image
-    # walk, so every field is checked against the 2-D oracle instead.
+    # classify, canonical and the predicates share one anchored walk
+    # (the images whose top row is the least word, the idea of the
+    # census loop's minimality scan) and read the orbit size off the
+    # stabilizer count, so every field is checked against the 2-D
+    # oracle's full image set instead.
     for a in _oracle_inputs():
-        grid = oracle.words_to_grid(a.rows, a.n)
-        images = oracle.images(grid)
-        weavable = oracle.is_weavable_grid(grid)
-        self_mirror = weavable and oracle.mirror_grid(grid) in images
-        rotation_stable = weavable and oracle.rot90_grid(grid) in images
+        _assert_matches_oracle(a)
+
+
+STRUCTURED_ORDERS = (18, 24, 32)
+
+
+def _structured_grids(n):
+    """Twill, satin, plain weave, all-ones, identity and a random grid
+    with one constant column, each moved by a seeded shift pair and
+    also mirrored.  They have the most anchored images (n**2 / 2 for
+    the plain weave) and the largest stabilizers."""
+    rng = random.Random(6100 + n)
+    step = next(s for s in range(2, n) if gcd(s, n) == 1)
+    column = rng.randrange(n)
+    cells = {
+        "twill": lambda i, j: (j - i) % n < n // 3,
+        "satin": lambda i, j: j == i * step % n,
+        "plain": lambda i, j: (i + j) % 2 == 0,
+        "ones": lambda i, j: True,
+        "identity": lambda i, j: i == j,
+        "column": lambda i, j: j == column or rng.random() < 0.5,
+    }
+    for cell in cells.values():
+        grid = tuple(tuple(int(cell(i, j)) for j in range(n)) for i in range(n))
+        moved = oracle.rot_cols(oracle.rot_rows(grid, rng.randrange(n)), rng.randrange(n))
+        for g in (moved, oracle.mirror_grid(moved)):
+            yield BitMatrix(oracle.grid_to_words(g))
+
+
+@pytest.mark.parametrize("n", STRUCTURED_ORDERS)
+def test_classify_matches_oracle_on_structured_inputs(n):
+    for a in _structured_grids(n):
+        _assert_matches_oracle(a)
+
+
+def _entry_point_inputs():
+    for n in (1, 2, 3):
+        for grid in oracle.all_grids(n):
+            yield BitMatrix(oracle.grid_to_words(grid))
+    for n in STRUCTURED_ORDERS:
+        for a in _structured_grids(n):
+            yield a
+            yield canonical(a)
+
+
+def test_is_canonical_and_orbit_agree_with_classify():
+    for a in _entry_point_inputs():
         rec = classify(a)
-        assert oracle.words_to_grid(rec.canonical.rows, a.n) == (
-            oracle.canonical_grid(grid)
-        )
-        assert rec.orbit_size == len(images)
-        assert rec.is_interweaving == weavable
-        assert rec.self_mirror == self_mirror
-        assert rec.rotation_stable == rotation_stable
-        if weavable:
-            assert is_self_mirror(a) == self_mirror
-            assert is_rotation_stable(a) == rotation_stable
+        assert is_canonical(a) == (rec.canonical == a) == (canonical(a) == a)
+        assert len(orbit(a)) == rec.orbit_size
 
 
 def test_membership_flag_equals_canonical_equality():

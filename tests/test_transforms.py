@@ -162,6 +162,14 @@ def test_mirror_matches_oracle_exhaustively_order3():
         assert mirror(a).rows == oracle.grid_to_words(oracle.mirror_grid(grid))
 
 
+@pytest.mark.parametrize("n", BYTE_EDGE_ORDERS)
+def test_mirror_matches_oracle_across_byte_boundaries(n):
+    # The reversal kernel reads a row word a byte at a time.
+    for a in byte_edge_matrices(n):
+        grid = oracle.words_to_grid(a.rows, n)
+        assert mirror(a).rows == oracle.grid_to_words(oracle.mirror_grid(grid))
+
+
 def test_rotate90_example():
     assert rotate90(BitMatrix((2, 1, 4))).rows == (2, 4, 1)
 
