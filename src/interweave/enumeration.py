@@ -58,6 +58,17 @@ tuples and nothing is canonicalised twice.  At order 5 the tables hold
 3 892 and 180 tuples, which the AND cuts to the 1 302 self-mirror and
 74 rotation-stable classes of the 705 366.
 
+The same tables list the symmetric classes without the census.  A
+prefix's heads have one source or the other and run through one loop
+body: the census builds every head from the row pool, and a symmetric
+filter walks its table's heads in order, each with its table entry as
+its last rows.  The fold and the scans then keep exactly the symmetric
+classes, in lexicographic order, with nothing canonicalised and no set
+of seen classes kept.  At order 5 the walks examine 2 275 and 145
+tuples for the 1 302 and 74 classes; at order 6 they list the 586 060
+self-mirror and 902 rotation-stable classes in seconds, where the
+census takes minutes.
+
 The minimality scan doubles as a stabilizer count: the shift pairs
 whose image equals the matrix itself form its stabilizer, and the orbit
 size is n**2 divided by that count.  This avoids materializing image
@@ -81,7 +92,10 @@ Enumeration scales as roughly ``2**(n*(n-1))`` candidates.  Order 6,
 2 105 231 424 candidates, is a long-running job (the README records its
 last measured run) and must be requested explicitly via
 ``limit_override``; order 7, about 1.2e13 candidates, is out of reach
-and refused.  Shards split the work by row prefix: the units are the
+and refused.  The cap and the override hold for the symmetric walks
+too, although those take seconds at order 6: listing order 7 would
+need caps of their own per filter, a change to the command line's
+contract.  Shards split the work by row prefix: the units are the
 (first, second) row pairs that pass the tests above, in lexicographic
 order (105 at order 5), and shard i of t takes every t-th of them from
 the i-th on.  Dealing them round-robin balances the shards without a
@@ -113,6 +127,7 @@ import io
 import itertools
 import os
 import time
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, replace
 from math import gcd, lcm
@@ -128,8 +143,7 @@ INTERWEAVINGS = "interweavings"
 ALL = "all"
 MODES = (INTERWEAVINGS, ALL)
 
-# In the order of the census loop's bitsets after the classes: weavable,
-# self-mirror, rotation-stable.
+# Every interweaving, the self-mirror ones, the rotation-stable ones.
 LIST_FILTERS = ("all", "mirror", "rotation")
 
 MAX_ENUM_ORDER = 6
@@ -184,7 +198,11 @@ class CountReport:
     Of the ``candidates_examined`` row tuples, ``rejected_weavability``
     failed the weavability fold (interweavings mode only) and
     ``rejected_minimality`` the minimality scan; the rest are the
-    classes, ``q_bar`` (``b_bar`` in all mode).
+    classes, ``q_bar`` (``b_bar`` in all mode).  A listing under the
+    ``mirror`` or ``rotation`` filter walks the symmetric tables instead
+    of the census, so its report counts the symmetric classes only:
+    ``q_bar`` is the number listed and ``q_count`` the sum of their orbit
+    sizes, and its candidates are the tuples the tables' entries hold.
     """
 
     n: int
@@ -343,6 +361,7 @@ def _census_loop(
     cfg: EnumConfig,
     emit: Optional[Callable[..., None]] = None,
     progress: Optional[Callable[[int], None]] = None,
+    wanted: str = "all",
 ) -> CountReport:
     """The census of this shard's slice, handing the classes of each head
     that has any to ``emit`` as ``(head, classes, weavable, self_mirror,
@@ -360,6 +379,17 @@ def _census_loop(
     generated; in ``all`` mode every class is.  ``progress`` (if given)
     receives the running candidate count after each (first, second) row
     prefix.
+
+    ``wanted``, a list filter, picks the source of each prefix's heads;
+    everything after it, the fold, the scans, the counters and ``emit``,
+    is one body.  ``"all"`` is the census: every head the row pool
+    builds, each with the whole pool as its last rows.  ``"mirror"``
+    and ``"rotation"`` walk the prefix's symmetric table instead: its
+    heads in order, skipping those with an all-ones row, which the
+    census never builds, each with its entry ANDed with the pool as its
+    last rows.  Its weavable classes are then exactly the symmetric
+    classes of the prefix, and the counts cover only them: the
+    candidates are the tuples the entries hold.
     """
     n = cfg.n
     top = (1 << n) - 1
@@ -368,6 +398,7 @@ def _census_loop(
 
     rotl, least, anchors = _shift_tables(n)
     covers, misses = _bit_tables(n)[:2]
+    two_colour = (1 << top) - 2  # the words 1 .. top - 1
     nn = n * n
 
     candidates = rejected_weavability = rejected_minimality = 0
@@ -377,41 +408,49 @@ def _census_loop(
     # The prefixes are dealt round-robin to the shards.
     for prefix, allowed in _prefixes(cfg, least)[index::total]:
         first, second = prefix
-        candidates += len(allowed) ** (n - 2)  # the tuples below
         if n == 2:  # the prefix is the whole tuple
-            start, mids, pool = prefix[:1], ((),), prefix[1:]
+            start, mids, pool_bits = prefix[:1], ((),), 1 << second
         else:
             mids = itertools.product(allowed, repeat=n - 3)
-            start, pool = prefix, allowed
+            start, pool_bits = prefix, _bitset(allowed)
         # The fold of the head rows the prefix fixes.
         start_or, start_and = first | start[-1], first & start[-1]
-        pool_size = len(pool)
-        pool_bits = _bitset(pool)
-        # The fold rejects a 0 or all-ones last row.
-        two_colour = pool_bits & ~(1 | 1 << top)
         dead, anchored = _anchor_masks(first, second, n)
         msym = _symmetric_table(n, reverse_words, first, second)
         rsym = _symmetric_table(n, rotate90_words, first, second)
-        for mid in mids:
+        if wanted == "all":
+            pools = itertools.repeat(pool_bits)
+            held = len(allowed) ** (n - 2)  # the tuples below
+        else:
+            # The walk: the table's heads in order, each with its entry
+            # as its last rows, and the tuples the entries hold.
+            table = {"mirror": msym, "rotation": rsym}[wanted]
+            mids = sorted(h[len(start):] for h in table if top not in h)
+            pools = [table[start + mid] & pool_bits for mid in mids]
+            held = sum(map(int.bit_count, pools))
+        candidates += held
+        # Every tuple is a weavability reject until its head fits it.
+        rejected_weavability += held if weavable_mode else 0
+        for mid, pool in zip(mids, pools):
             head = start + mid
             ored, anded = start_or, start_and
             for w in mid:
                 ored |= w
                 anded &= w
             # A last row w completes the fold when it sets every bit
-            # the head leaves clear and clears every bit it sets.
-            fits = covers[top & ~ored] & misses[anded] & two_colour
+            # the head leaves clear and clears every bit it sets.  In
+            # interweavings mode the pool holds no 0 or all-ones word.
+            fits = covers[top & ~ored] & misses[anded] & pool
             if weavable_mode:
                 lasts = fits
-                rejected_weavability += pool_size - fits.bit_count()
+                rejected_weavability -= fits.bit_count()
                 if not lasts:
                     continue
             else:
-                lasts = pool_bits
-                # The fold also rejects a 0 or all-ones head row; every
-                # later row is >= first, so only the first can be 0.
-                if not first or top in head:
-                    fits = 0
+                lasts = pool
+                # The fold also rejects a 0 or all-ones row; every later
+                # row is >= first, so only the first can be 0.
+                fits = fits & two_colour if first and top not in head else 0
             tied = _head_scan(head, rotl, least, anchors, n)
             if tied is None:
                 rejected_minimality += lasts.bit_count()
@@ -566,21 +605,18 @@ def _prefix_worker(task):
     cfg, wanted = task
     if wanted is None:
         return _census_loop(cfg), ""
-    # The filter's bitset among the loop's bitsets after the classes.
-    # "all" lists every interweaving; the symmetry bitsets hold
-    # interweavings only.
-    pick = LIST_FILTERS.index(wanted) + 1
+    # "all" lists every interweaving of the census; a symmetric filter
+    # walks its table, whose interweavings are its classes.
     block = io.StringIO()
     ends = [f"{w}\n" for w in range(1 << cfg.n)]
 
-    def emit(head, *sets):
-        listed = sets[pick]
-        if listed:
+    def emit(head, classes, weavable, *flags):
+        if weavable:
             # Every line of the head starts with the head's words.
             text = _format_words(head) + " "
-            block.write(text + text.join(_select(ends, listed)))
+            block.write(text + text.join(_select(ends, weavable)))
 
-    return _census_loop(cfg, emit), block.getvalue()
+    return _census_loop(cfg, emit, wanted=wanted), block.getvalue()
 
 
 def _prefix_results(jobs: int, tasks: list):
@@ -590,8 +626,9 @@ def _prefix_results(jobs: int, tasks: list):
     workers can take two or more of them at once: then a pool of at most
     ``jobs`` processes runs them.  The pool starts on the first ``next``,
     so a pool that breaks while tasks are still being handed out fails
-    there like any task.  Closing the generator cancels the tasks not
-    yet started.
+    there like any task.  At most ``2 * jobs`` tasks are handed out and
+    not yet taken, so finished blocks wait in the parent only that many
+    at a time.  Closing the generator cancels the tasks not yet started.
     """
     if jobs < 2 or len(tasks) < 2:
         yield from map(_prefix_worker, tasks)
@@ -599,8 +636,17 @@ def _prefix_results(jobs: int, tasks: list):
     # Imported here: the pool machinery would slow every CLI start.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
-        yield from pool.map(_prefix_worker, tasks)
+    pool = ProcessPoolExecutor(min(jobs, len(tasks)))
+    queued = deque()
+    try:
+        for task in tasks:
+            queued.append(pool.submit(_prefix_worker, task))
+            if len(queued) == 2 * jobs:
+                yield queued.popleft().result()
+        while queued:
+            yield queued.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_shards(
@@ -612,9 +658,11 @@ def _run_shards(
 ) -> CountReport:
     """Run ``cfg``'s shard prefix by prefix; with a list filter ``wanted``,
     also write the listing, one tuple line per class in lexicographic
-    order, to the text stream ``out``.  ``progress(cfg.shard, candidates)``
-    fires after each (first, second) prefix with the running candidate
-    count.
+    order, to the text stream ``out``; the ``mirror`` and ``rotation``
+    filters walk the symmetric tables instead of the census, and the
+    report counts what they walk (see :func:`_census_loop`).
+    ``progress(cfg.shard, candidates)`` fires after each (first, second)
+    prefix with the running candidate count.
 
     Each prefix p of the shard is one task, run as shard p of P, where P
     is the prefix count, in this process or on a pool of at most ``jobs``
@@ -677,7 +725,11 @@ def enumerate_sharded(
     with more.  Returns ``(report, rows)`` where ``rows`` is the
     lexicographically sorted list of canonical row tuples listed under
     the list filter ``collect``, read back from the streamed listing, or
-    None when ``collect`` is None.
+    None when ``collect`` is None.  With ``collect`` ``"mirror"`` or
+    ``"rotation"`` the run walks the symmetric tables, not the census
+    (see :func:`_census_loop`): the report counts the listed classes
+    only, and its ``candidates_examined`` are the tuples the tables'
+    entries hold.
     """
     if shards < 1:
         raise ValueError(f"shard count must be positive, got {shards}")

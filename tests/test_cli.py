@@ -2,13 +2,22 @@
 
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from interweave import canonical, enumeration, is_canonical, parse_tuple
+from interweave import (
+    canonical,
+    enumeration,
+    is_canonical,
+    is_rotation_stable,
+    is_self_mirror,
+    load_expected,
+    parse_tuple,
+)
 from interweave.cli import main
 from interweave.enumeration import LIST_FILTERS
 
@@ -87,6 +96,18 @@ def test_count_progress_under_jobs_matches_in_process(capsys):
     assert err.splitlines() == single_err.splitlines()
     assert len(err.splitlines()) == 9  # one line per (first, second) prefix
     assert err.splitlines()[-1] == "shard 0/1: 45 candidates examined"
+
+
+def test_filtered_list_progress_under_jobs_matches_in_process(capsys):
+    argv = ("list", "--n", "4", "--filter", "mirror", "--progress")
+    _, single_out, single_err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--jobs", "2")
+    assert code == 0
+    assert out == single_out
+    assert err.splitlines() == single_err.splitlines()
+    assert len(err.splitlines()) == 34  # one line per (first, second) prefix
+    # The walk examines the tuples its table entries hold.
+    assert err.splitlines()[-1] == "shard 0/1: 458 candidates examined"
 
 
 def test_count_refuses_order6_without_override(capsys):
@@ -365,6 +386,38 @@ def test_list_order5_digest(capsys, wanted, jobs):
     digest, lines = ORDER5_LISTINGS[wanted]
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `interweave list --n 6 --limit-override --filter F`, each
+# equal to the listing of a full order-6 enumeration, and the packaged
+# count it must have.
+ORDER6_LISTINGS = {
+    "mirror": ("0fce4e15b19efa15aa969ab591109c6bb85fad1df4fb029d919e34b7555e1930", "m_bar"),
+    "rotation": ("50d5426e2dd5fe6c2eeba493f8817bce2383af65f062854aa2244cffe669383a", "r_bar"),
+}
+
+
+@pytest.mark.parametrize(
+    "wanted, symmetric, checked",
+    (("mirror", is_self_mirror, 2000), ("rotation", is_rotation_stable, None)),
+    ids=("mirror", "rotation"),
+)
+def test_list_order6_symmetric_classes(capsys, wanted, symmetric, checked):
+    # The walk lists order 6 in seconds.  The library's anchored tests,
+    # which use no cycle table, recheck every rotation-stable line and a
+    # seeded sample of the self-mirror ones.
+    argv = ("list", "--n", "6", "--limit-override", "--filter", wanted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    digest, key = ORDER6_LISTINGS[wanted]
+    lines = out.splitlines()
+    assert len(lines) == load_expected()[6, key]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if checked is not None:
+        lines = random.Random(6).sample(lines, checked)
+    for line in lines:
+        matrix = parse_tuple(line)
+        assert is_canonical(matrix) and symmetric(matrix), line
 
 
 def test_list_to_file(capsys, tmp_path):

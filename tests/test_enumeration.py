@@ -768,6 +768,32 @@ def test_failed_write_cancels_pending_prefixes(tmp_path, monkeypatch):
     assert len(started.read_text().split()) < total // 2
 
 
+def test_pool_hands_out_at_most_two_prefixes_per_job_ahead(tmp_path, monkeypatch):
+    # Each forked worker logs the prefix it starts; the parent writes
+    # slowly, and no prefix may start more than 2 * jobs ahead of the
+    # block being written.
+    real = enumeration._census_loop
+    started = tmp_path / "started.txt"
+
+    def logged(cfg, *args, **kwargs):
+        with open(started, "a") as handle:
+            handle.write(f"{cfg.shard.index}\n")
+        return real(cfg, *args, **kwargs)
+
+    ahead = []  # prefixes started past the one being written
+
+    class SlowOut:
+        def write(self, text):
+            time.sleep(0.05)
+            ahead.append(len(started.read_text().split()) - len(ahead))
+
+    monkeypatch.setattr(enumeration, "_census_loop", logged)
+    _run_shards(EnumConfig(3, INTERWEAVINGS), 2, "all", SlowOut())
+    assert len(ahead) == 9  # one block per prefix
+    assert sorted(map(int, started.read_text().split())) == list(range(9))
+    assert max(ahead) <= 4
+
+
 def test_pool_broken_while_handing_out_tasks_names_a_prefix(monkeypatch):
     # A worker can die before the parent has handed out every task; the
     # pool then refuses the next one, and that must name a prefix too.
@@ -810,11 +836,21 @@ def test_prefix_driver_equals_enumerate_classes(n, mode, jobs):
             for wanted in LIST_FILTERS:
                 out = io.StringIO()
                 report = _run_shards(cfg, jobs, wanted, out)
-                assert replace(report, elapsed=0.0) == reference
+                listed = [rec for rec in records if LISTED[wanted](rec)]
                 assert out.getvalue() == "".join(
-                    format_tuple(rec.canonical) + "\n"
-                    for rec in records
-                    if LISTED[wanted](rec)
+                    format_tuple(rec.canonical) + "\n" for rec in listed
+                )
+                if wanted == "all":
+                    assert replace(report, elapsed=0.0) == reference
+                    continue
+                # A symmetric filter walks its table's heads: its report
+                # counts the classes it lists, not the whole census.
+                symmetric = reference.m_bar if wanted == "mirror" else reference.r_bar
+                assert report.q_bar == len(listed) == symmetric
+                assert report.q_count == sum(rec.orbit_size for rec in listed)
+                classes = report.q_bar if mode == INTERWEAVINGS else report.b_bar
+                assert report.candidates_examined == (
+                    report.rejected_weavability + report.rejected_minimality + classes
                 )
             assert reference.b_bar == (None if mode == INTERWEAVINGS else len(records))
     # Order 2 has 2 interweaving prefixes, so 2/3, 2/4 and 3/4 are empty.
