@@ -47,27 +47,29 @@ self-mirror (rotation-stable) exactly when the mirror (the quarter turn)
 maps some member onto a shift of itself, and then every member, the
 canonical tuple too, is a fixed point of the mirror (the quarter turn)
 followed by some shift.  The tables of :mod:`interweave.tables` hold
-those fixed points as walked, the ones the generator could build with
-the prefix, mapping a head to the bitset of its fixed-point last rows
-(:func:`~interweave.tables._symmetric_table`): one table per symmetry
-and (first, second) prefix, both built by the prefix's task from one
-walk of the kernel's cell cycles and dropped after it.  The loop reads
-each head's entry with one lookup per table and ANDs it with the head's
-weavable classes, so the loop's own minimality scan picks the canonical
-tuples and nothing is canonicalised twice.  At order 5 the tables hold
-3 892 and 180 tuples, which the AND cuts to the 1 302 self-mirror and
-74 rotation-stable classes of the 705 366.
+those fixed points whose rows come from the prefix's pool, the tuples
+the census builds with the prefix, mapping a head to the bitset of its
+fixed-point last rows (:func:`~interweave.tables._symmetric_table`):
+one table per symmetry and (first, second) prefix, built by the
+prefix's task from one walk of the kernel's cell cycles and dropped
+after it.  The loop reads each head's entry with one lookup per table
+and ANDs it with the head's weavable classes, so the loop's own
+minimality scan picks the canonical tuples and nothing is canonicalised
+twice.  At order 5 the tables hold 2 275 and 145 tuples, which the AND
+cuts to the 1 302 self-mirror and 74 rotation-stable classes of the
+705 366.
 
 The same tables list the symmetric classes without the census.  A
 prefix's heads have one source or the other and run through one loop
 body: the census builds every head from the row pool, and a symmetric
 filter walks its table's heads in order, each with its table entry as
-its last rows.  The fold and the scans then keep exactly the symmetric
-classes, in lexicographic order, with nothing canonicalised and no set
-of seen classes kept.  At order 5 the walks examine 2 275 and 145
-tuples for the 1 302 and 74 classes; at order 6 they list the 586 060
-self-mirror and 902 rotation-stable classes in seconds, where the
-census takes minutes.
+its last rows, and builds no other table.  The fold and the scans then
+keep exactly the symmetric classes, in lexicographic order, with
+nothing canonicalised and no set of seen classes kept.  At order 5 the
+walks examine the tables' 2 275 and 145 tuples for the 1 302 and 74
+classes; at order 6 they list the 586 060 self-mirror and 902
+rotation-stable classes in about a second, where the census takes
+minutes.
 
 The minimality scan doubles as a stabilizer count: the shift pairs
 whose image equals the matrix itself form its stabilizer, and the orbit
@@ -145,6 +147,8 @@ MODES = (INTERWEAVINGS, ALL)
 
 # Every interweaving, the self-mirror ones, the rotation-stable ones.
 LIST_FILTERS = ("all", "mirror", "rotation")
+# The word kernel of each symmetric filter's table.
+_KERNELS = {"mirror": reverse_words, "rotation": rotate90_words}
 
 MAX_ENUM_ORDER = 6
 # Orders below this run in seconds; a full order-6 enumeration,
@@ -199,10 +203,12 @@ class CountReport:
     failed the weavability fold (interweavings mode only) and
     ``rejected_minimality`` the minimality scan; the rest are the
     classes, ``q_bar`` (``b_bar`` in all mode).  A listing under the
-    ``mirror`` or ``rotation`` filter walks the symmetric tables instead
-    of the census, so its report counts the symmetric classes only:
-    ``q_bar`` is the number listed and ``q_count`` the sum of their orbit
-    sizes, and its candidates are the tuples the tables' entries hold.
+    ``mirror`` or ``rotation`` filter walks that symmetry's tables
+    instead of the census, so its report counts the symmetric classes
+    only: ``q_bar`` is the number listed and ``q_count`` the sum of their
+    orbit sizes, its candidates are the tuples the tables' entries hold,
+    and of ``m_bar`` and ``r_bar`` the walked symmetry's equals ``q_bar``
+    and the other is 0.
     """
 
     n: int
@@ -383,13 +389,14 @@ def _census_loop(
     ``wanted``, a list filter, picks the source of each prefix's heads;
     everything after it, the fold, the scans, the counters and ``emit``,
     is one body.  ``"all"`` is the census: every head the row pool
-    builds, each with the whole pool as its last rows.  ``"mirror"``
-    and ``"rotation"`` walk the prefix's symmetric table instead: its
-    heads in order, skipping those with an all-ones row, which the
-    census never builds, each with its entry ANDed with the pool as its
-    last rows.  Its weavable classes are then exactly the symmetric
-    classes of the prefix, and the counts cover only them: the
-    candidates are the tuples the entries hold.
+    builds, each with the whole pool as its last rows, and both
+    symmetric tables.  ``"mirror"`` and ``"rotation"`` build only the
+    prefix's table of that symmetry, whose rows all come from the pool,
+    and walk it: its heads in order, each with its entry as its last
+    rows.  Its weavable classes are then exactly the symmetric classes
+    of the prefix, and the counts cover only them: the candidates are
+    the tuples the entries hold, the walked symmetry's count equals
+    ``q_bar`` and the other symmetry's count is 0.
     """
     n = cfg.n
     top = (1 << n) - 1
@@ -416,17 +423,21 @@ def _census_loop(
         # The fold of the head rows the prefix fixes.
         start_or, start_and = first | start[-1], first & start[-1]
         dead, anchored = _anchor_masks(first, second, n)
-        msym = _symmetric_table(n, reverse_words, first, second)
-        rsym = _symmetric_table(n, rotate90_words, first, second)
+        # The census reads both tables, a walk only the one it walks.
+        msym, rsym = (
+            _symmetric_table(n, kernel, first, second, pool_bits)
+            if wanted in ("all", name) else {}
+            for name, kernel in _KERNELS.items()
+        )
         if wanted == "all":
             pools = itertools.repeat(pool_bits)
             held = len(allowed) ** (n - 2)  # the tuples below
         else:
             # The walk: the table's heads in order, each with its entry
             # as its last rows, and the tuples the entries hold.
-            table = {"mirror": msym, "rotation": rsym}[wanted]
-            mids = sorted(h[len(start):] for h in table if top not in h)
-            pools = [table[start + mid] & pool_bits for mid in mids]
+            table = msym or rsym  # the one built
+            mids = sorted(h[len(start):] for h in table)
+            pools = [table[start + mid] for mid in mids]
             held = sum(map(int.bit_count, pools))
         candidates += held
         # Every tuple is a weavability reject until its head fits it.
@@ -474,7 +485,7 @@ def _census_loop(
                 for w, size in orbits.items():
                     if weavable >> w & 1:
                         q_count -= nn - size
-                # The tables hold symmetric tuples as walked; the AND
+                # The tables hold symmetric tuples from the pool; the AND
                 # keeps the canonical weavable ones, the classes.
                 mirror = msym.get(head, 0) & weavable
                 rotation = rsym.get(head, 0) & weavable
@@ -659,8 +670,9 @@ def _run_shards(
     """Run ``cfg``'s shard prefix by prefix; with a list filter ``wanted``,
     also write the listing, one tuple line per class in lexicographic
     order, to the text stream ``out``; the ``mirror`` and ``rotation``
-    filters walk the symmetric tables instead of the census, and the
-    report counts what they walk (see :func:`_census_loop`).
+    filters walk that symmetry's tables instead of the census, and the
+    report counts what they walk: the walked symmetry's count equals
+    ``q_bar`` and the other is 0 (see :func:`_census_loop`).
     ``progress(cfg.shard, candidates)`` fires after each (first, second)
     prefix with the running candidate count.
 
@@ -670,10 +682,14 @@ def _run_shards(
     each prefix's block and adds up its report in prefix order, and a
     task that fails, or whose worker dies, raises ``_PrefixError``
     naming its prefix.  The report's ``elapsed`` is the parent's wall
-    time.  ``jobs`` below 1 raises ``ValueError``.
+    time.  ``jobs`` below 1, or a ``wanted`` that is neither None nor
+    one of ``LIST_FILTERS``, raises ``ValueError`` before any prefix
+    runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
+    if wanted not in (None, *LIST_FILTERS):
+        raise ValueError(f"list filter must be one of {LIST_FILTERS}, got {wanted!r}")
     started = time.perf_counter()
     index, total = cfg.shard
     prefixes = _prefixes(cfg, _shift_tables(cfg.n)[1])
@@ -720,16 +736,18 @@ def enumerate_sharded(
     merged slices.
 
     ``jobs`` defaults to ``min(shards, cpu_count)``; below 1 it raises
-    ``ValueError``.  The run goes prefix by prefix through
-    :func:`_run_shards`: in this process with one job, on a process pool
-    with more.  Returns ``(report, rows)`` where ``rows`` is the
+    ``ValueError``, as do ``shards`` below 1 and a ``collect`` that is
+    neither None nor one of ``LIST_FILTERS``.  The run goes prefix by
+    prefix through :func:`_run_shards`: in this process with one job, on
+    a process pool with more.  Returns ``(report, rows)`` where ``rows`` is the
     lexicographically sorted list of canonical row tuples listed under
     the list filter ``collect``, read back from the streamed listing, or
     None when ``collect`` is None.  With ``collect`` ``"mirror"`` or
     ``"rotation"`` the run walks the symmetric tables, not the census
     (see :func:`_census_loop`): the report counts the listed classes
-    only, and its ``candidates_examined`` are the tuples the tables'
-    entries hold.
+    only, its ``candidates_examined`` are the tuples the tables' entries
+    hold, and of ``m_bar`` and ``r_bar`` the walked symmetry's equals
+    ``q_bar`` and the other is 0.
     """
     if shards < 1:
         raise ValueError(f"shard count must be positive, got {shards}")

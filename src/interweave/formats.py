@@ -88,19 +88,16 @@ def parse_matrix(text: str) -> BitMatrix:
     return parse_tuple(text)
 
 
+# Maps the grid form's cells to the drawdown chart's.
+_CHART_CELLS = str.maketrans("01", ".#")
+
+
 def render_chart(a: BitMatrix) -> str:
     """Drawdown chart: '#' marks warp over weft (1), '.' marks weft (0)."""
-    n = a.n
-    return "\n".join(
-        "".join("#" if word >> (n - 1 - j) & 1 else "." for j in range(n))
-        for word in a.rows
-    )
+    return str(a).translate(_CHART_CELLS)
 
 
 def render_pbm(a: BitMatrix) -> str:
     """Plain PBM (P1): header, dimensions, then one pattern row per line."""
-    n = a.n
-    rows = "\n".join(
-        " ".join(str(word >> (n - 1 - j) & 1) for j in range(n)) for word in a.rows
-    )
-    return f"P1\n{n} {n}\n{rows}\n"
+    rows = "\n".join(" ".join(line) for line in str(a).splitlines())
+    return f"P1\n{a.n} {a.n}\n{rows}\n"

@@ -6,13 +6,15 @@ TAOCP 4A, 7.1.3), so a whole set of last rows is filtered with one AND
 and counted with one popcount.  The tables are built from the word
 kernels of :mod:`interweave.transforms` and cached per order, read-only.
 The symmetric tables hold the matrices the mirror or the quarter turn
-maps to a shift of themselves, as walked: they canonicalise nothing,
-and the census loop ANDs each head's entry with its canonical weavable
-last rows.  Both come from one walk, the cycles of the cell permutation
-"word kernel, then shift back", filed under their top rows and cached
-per order, kernel and shift.  The task of each (first, second) row
-prefix builds its two tables from them row by row, as the census loop
-builds its tuples, not cached, and drops them after the prefix.
+maps to a shift of themselves whose rows come from the prefix's pool,
+the tuples the census builds: they canonicalise nothing, and the census
+loop ANDs each head's entry with its canonical weavable last rows.  At
+order 5 the interweaving prefixes' tables hold 2 275 and 145 tuples.
+Both come from one walk, the cycles of the cell permutation "word
+kernel, then shift back", filed under their top rows and cached per
+order, kernel and shift.  The task of each (first, second) row prefix
+builds its tables from them row by row, as the census loop builds its
+tuples, not cached, and drops them after the prefix.
 """
 
 from __future__ import annotations
@@ -102,11 +104,12 @@ def _cycles(n, kernel, k, l):
     return tuple(map(tuple, tops))
 
 
-def _symmetric_table(n, kernel, first, second):
+def _symmetric_table(n, kernel, first, second, pool):
     """The matrices ``kernel`` maps to a shift of themselves, over all n**2
-    shifts, that the census loop can build with its prefix (first,
-    second): rows 0 and 1 are the prefix, and no later row rotates below
-    ``first``.  As a table: the head of each row-word tuple, its first
+    shifts, that the census loop builds with its prefix (first, second)
+    and its row pool, the bitset ``pool`` of the words its later rows are
+    drawn from: rows 0 and 1 are the prefix, and every later row is in
+    the pool.  As a table: the head of each row-word tuple, its first
     n - 1 rows, maps to the bitset of the last rows that complete one.
 
     A class is self-mirror (rotation-stable) exactly when the mirror
@@ -114,7 +117,9 @@ def _symmetric_table(n, kernel, first, second):
     every member, the canonical tuple too, is a fixed point of the
     kernel followed by some shift back, so the census loop, which ANDs
     a head's entry with the head's canonical weavable last rows, keeps
-    exactly its symmetric classes; nothing here is canonicalised.
+    exactly its symmetric classes; nothing here is canonicalised.  The
+    table holds no tuple the census does not build, so a walk of it
+    examines exactly its tuples.
 
     Per shift, a fixed point is a union of the :func:`_cycles`, built
     row by row as the census loop builds its tuples (Read, "Every one a
@@ -122,14 +127,13 @@ def _symmetric_table(n, kernel, first, second):
     set when its cells there are all set, clear when none is, and no
     fixed point when some are.  Each later row adds the cycles filed
     under it to every point so far; the row is then final, and the
-    points whose row fails the row test are dropped.  The cycles filed
+    points whose row is not in the pool are dropped.  The cycles filed
     under the last row lie in it alone, so each point's last rows are
     one bitset, worked out once per shift and value.  A zero first row
     never weaves.  Not cached: a prefix's task builds its tables once.
     """
     if not first:
         return {}
-    least = _shift_tables(n)[1]
     table = {}
     for k, l in product(range(n), repeat=2):
         tops = _cycles(n, kernel, k, l)
@@ -144,7 +148,7 @@ def _symmetric_table(n, kernel, first, second):
         for i in range(2, n - 1):
             for c in tops[i]:
                 points += [tuple(map(add, w, c)) for w in points]
-            points = [w for w in points if least[w[i]] >= first]
+            points = [w for w in points if pool >> w[i] & 1]
         # At n = 2 the last row is row 1, already decided.
         lasts = [0]
         for c in tops[-1] if n > 2 else ():
@@ -153,8 +157,7 @@ def _symmetric_table(n, kernel, first, second):
         for w in points:
             bits = memo.get(w[-1])
             if bits is None:
-                rows = (w[-1] + x for x in lasts)
-                bits = memo[w[-1]] = _bitset(r for r in rows if least[r] >= first)
+                bits = memo[w[-1]] = _bitset(w[-1] + x for x in lasts) & pool
             if bits:
                 table[w[:-1]] = table.get(w[:-1], 0) | bits
     return table

@@ -280,6 +280,13 @@ def test_bad_shard_spec_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_shard_out_of_range_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["count", "--n", "3", "--shard", "2/2"])
+    assert excinfo.value.code == 2
+    assert "invalid shard '2/2'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     (

@@ -3,6 +3,7 @@
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -37,14 +38,22 @@ from interweave import (
 )
 from interweave.enumeration import (
     LIST_FILTERS,
+    MODES,
     _anchor_masks,
+    _census_loop,
     _head_scan,
     _last_row_bits,
     _PrefixError,
     _prefixes,
     _run_shards,
 )
-from interweave.tables import _bit_tables, _cycles, _shift_tables, _symmetric_table
+from interweave.tables import (
+    _bit_tables,
+    _bitset,
+    _cycles,
+    _shift_tables,
+    _symmetric_table,
+)
 from interweave.transforms import reverse_words, rotate90_words
 
 SMALL_CENSUS = {
@@ -400,54 +409,82 @@ def _prefix_list(n, **kwargs):
     return [p for p, _ in _prefixes(EnumConfig(n, **kwargs), _shift_tables(n)[1])]
 
 
+def _prefix_pools(n, **kwargs):
+    """Each prefix of the order with the row pool the census loop hands
+    its tables: the bitset of the words its later rows are drawn from,
+    the second row alone at order 2."""
+    for (first, second), allowed in _prefixes(
+        EnumConfig(n, **kwargs), _shift_tables(n)[1]
+    ):
+        yield (first, second), 1 << second if n == 2 else _bitset(allowed)
+
+
 # Each symmetry's word kernel and its oracle move.
 SYMMETRIES = ((reverse_words, oracle.mirror_grid), (rotate90_words, oracle.rot90_grid))
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_symmetric_tables_equal_the_oracle_classes(n):
-    # Sound and complete per prefix: a table holds exactly the members of
-    # the oracle's symmetric classes that the generator could build with
-    # its prefix, row 0 the least rotation of every row.  The canonical
-    # tuple of every symmetric weavable class is one of them.
-    least = _shift_tables(n)[1]
-    expected = {kernel: {} for kernel, _ in SYMMETRIES}
+    # Sound and complete per prefix and pool: a table holds exactly the
+    # members of the oracle's symmetric classes that the census builds
+    # with its prefix, every later row drawn from the pool, under the
+    # interweaving pools (no all-ones row) and the all-classes pools.
+    # The canonical tuple of every symmetric weavable class is one of
+    # them.
+    members = {kernel: set() for kernel, _ in SYMMETRIES}
     for rep in oracle.partition_by_class(n):
-        members = oracle.images(rep)
+        images = oracle.images(rep)
         for kernel, move in SYMMETRIES:
-            if move(rep) in members:
-                for rows in map(oracle.grid_to_words, members):
-                    if min(least[w] for w in rows) == rows[0]:
-                        expected[kernel].setdefault(rows[:2], set()).add(rows)
-    for kernel, prefixes in expected.items():
-        for first, second in _prefix_list(n, mode=ALL):
-            table = set(_entries(_symmetric_table(n, kernel, first, second)))
-            if first:
-                assert table == prefixes.get((first, second), set()), (first, second)
-            else:  # a zero first row never weaves
+            if move(rep) in images:
+                members[kernel].update(map(oracle.grid_to_words, images))
+    for mode, (kernel, _) in itertools.product(MODES, SYMMETRIES):
+        for prefix, pool in _prefix_pools(n, mode=mode):
+            table = set(_entries(_symmetric_table(n, kernel, *prefix, pool)))
+            if not prefix[0]:  # a zero first row never weaves
                 assert not table
+                continue
+            expected = {
+                rows
+                for rows in members[kernel]
+                if rows[:2] == prefix and all(pool >> w & 1 for w in rows[2:])
+            }
+            assert table == expected, (mode, kernel.__name__, prefix)
 
 
 # The tuples the interweaving prefixes' tables hold, summed over the
-# prefixes, per order: (mirror, quarter turn).
-TABLE_SIZES = {2: (2, 1), 3: (8, 4), 4: (618, 50), 5: (3892, 180), 6: (None, 2189)}
+# prefixes, per order: (mirror, quarter turn).  The order-6 mirror
+# tables hold 1 072 040.
+TABLE_SIZES = {2: (2, 1), 3: (5, 3), 4: (458, 41), 5: (2275, 145), 6: (None, 1925)}
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_symmetric_tables_count_the_packaged_m_bar_and_r_bar(n):
     # Order 6 counts the turn tables alone: the cheapest order-6 check
-    # that the tables reach every rotation-stable class.  The order-6
-    # mirror tables hold about 1.5 million tuples.  The sizes pin what
-    # the loop's AND with the weavable last rows would hide: a table
-    # that holds tuples no row test kept.
+    # that the tables reach every rotation-stable class.  The sizes pin
+    # what the loop's AND with the weavable last rows would hide: a
+    # table that holds tuples no pool test kept.
     expected = load_expected()
-    prefixes = _prefix_list(n, limit_override=True)
+    prefixes = list(_prefix_pools(n, limit_override=True))
     for (kernel, _), key, size in zip(SYMMETRIES, ("m_bar", "r_bar"), TABLE_SIZES[n]):
         if size is None:
             continue
-        tables = [(_symmetric_table(n, kernel, *p), p) for p in prefixes]
+        tables = [(_symmetric_table(n, kernel, *p, pool), p) for p, pool in prefixes]
         assert sum(bits.bit_count() for t, _ in tables for bits in t.values()) == size
         assert sum(len(_classes(t, p)) for t, p in tables) == expected[n, key]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_each_walk_examines_exactly_its_table(n):
+    # A walk reads its table as built: the candidates of each prefix's
+    # walk are the tuples of that prefix's table.
+    prefixes = list(_prefix_pools(n))
+    for p, (prefix, pool) in enumerate(prefixes):
+        cfg = EnumConfig(n, shard=Shard(p, len(prefixes)))
+        for wanted, (kernel, _) in zip(("mirror", "rotation"), SYMMETRIES):
+            table = _symmetric_table(n, kernel, *prefix, pool)
+            report = _census_loop(cfg, wanted=wanted)
+            held = sum(map(int.bit_count, table.values()))
+            assert report.candidates_examined == held, (wanted, prefix)
 
 
 def test_chiral_first_row_has_no_self_mirror_class():
@@ -457,10 +494,11 @@ def test_chiral_first_row_has_no_self_mirror_class():
     # rotates to 11 < 13 and could not be canonical.  The other counts
     # pin first rows whose tables are quick to build.
     found = {}
-    for prefix in _prefix_list(6, limit_override=True):
+    for prefix, pool in _prefix_pools(6, limit_override=True):
         first = prefix[0]
         if first in (11, 13, 15, 23, 27, 31):
-            kept = _classes(_symmetric_table(6, reverse_words, *prefix), prefix)
+            table = _symmetric_table(6, reverse_words, *prefix, pool)
+            kept = _classes(table, prefix)
             found[first] = found.get(first, 0) + len(kept)
     assert found == {11: 3563, 13: 0, 15: 672, 23: 795, 27: 32, 31: 4}
 
@@ -508,30 +546,34 @@ def test_tables_are_built_on_first_use_and_read_only():
             assert len(tops) == n and all(isinstance(g, tuple) for g in tops)
     # Nothing caches a symmetric table: each prefix's task builds its own.
     assert not hasattr(_symmetric_table, "cache_info")
+    pool = dict(_prefix_pools(5))[1, 1]
     for kernel, _ in SYMMETRIES:
-        table = _symmetric_table(5, kernel, 1, 1)
-        assert table and _symmetric_table(5, kernel, 1, 1) is not table
+        table = _symmetric_table(5, kernel, 1, 1, pool)
+        assert table and _symmetric_table(5, kernel, 1, 1, pool) is not table
 
 
 def test_each_prefix_builds_its_symmetric_tables_once_per_run(tmp_path, monkeypatch):
     # In this process and on a pool, the task of a prefix builds each
-    # symmetry's table once; forked workers inherit the patch and log
-    # each build to the same file.
+    # table it reads once: a census both symmetries' tables, a walk only
+    # the table it walks.  Forked workers inherit the patch and log each
+    # build to the same file.
     real = enumeration._symmetric_table
     log = tmp_path / "built.txt"
 
-    def logged(n, kernel, first, second):
+    def logged(n, kernel, first, second, pool):
         with open(log, "a") as handle:
             handle.write(f"{kernel.__name__} {first} {second}\n")
-        return real(n, kernel, first, second)
+        return real(n, kernel, first, second, pool)
 
     monkeypatch.setattr(enumeration, "_symmetric_table", logged)
-    for n, jobs in ((5, 1), (4, 2)):
+    walked = {"mirror": (reverse_words,), "rotation": (rotate90_words,)}
+    for (n, jobs), wanted in itertools.product(((5, 1), (4, 2)), (None, *walked)):
         log.write_text("")
-        _run_shards(EnumConfig(n), jobs)
+        _run_shards(EnumConfig(n), jobs, wanted, io.StringIO())
         built = [line.split() for line in log.read_text().splitlines()]
-        assert len(built) == 2 * (105 if n == 5 else 34)
-        for kernel, _ in SYMMETRIES:
+        kernels = walked.get(wanted, (reverse_words, rotate90_words))
+        assert len(built) == len(kernels) * (105 if n == 5 else 34)
+        for kernel in kernels:
             prefixes = [(int(f), int(s)) for name, f, s in built if name == kernel.__name__]
             assert sorted(prefixes) == _prefix_list(n)
 
@@ -847,6 +889,10 @@ def test_prefix_driver_equals_enumerate_classes(n, mode, jobs):
                 # counts the classes it lists, not the whole census.
                 symmetric = reference.m_bar if wanted == "mirror" else reference.r_bar
                 assert report.q_bar == len(listed) == symmetric
+                # It builds only the table it walks, so the other
+                # symmetry's count is 0.
+                walked = (report.q_bar, 0) if wanted == "mirror" else (0, report.q_bar)
+                assert (report.m_bar, report.r_bar) == walked
                 assert report.q_count == sum(rec.orbit_size for rec in listed)
                 classes = report.q_bar if mode == INTERWEAVINGS else report.b_bar
                 assert report.candidates_examined == (
@@ -878,6 +924,26 @@ def test_listing_builds_no_records(monkeypatch):
         out = io.StringIO()
         _run_shards(cfg, 1, wanted, out)
         assert out.getvalue() == reference[wanted], wanted
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_list_filter_is_checked_before_any_prefix_runs(jobs, monkeypatch):
+    # A forked worker that ran a prefix would fail as _PrefixError.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prefix ran")
+
+    monkeypatch.setattr(enumeration, "_census_loop", refuse)
+    names = re.escape(str(LIST_FILTERS))
+    with pytest.raises(ValueError, match=f"list filter must be one of {names}"):
+        _run_shards(EnumConfig(3), jobs, "bogus", io.StringIO())
+    with pytest.raises(ValueError, match=f"list filter must be one of {names}"):
+        enumerate_sharded(3, jobs=jobs, collect="bogus")
+
+
+@pytest.mark.parametrize("shards", (0, -1))
+def test_enumerate_sharded_rejects_shards_below_one(shards):
+    with pytest.raises(ValueError, match="shard count must be positive"):
+        enumerate_sharded(3, shards=shards)
 
 
 @pytest.mark.parametrize("jobs", (0, -1))

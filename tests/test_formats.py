@@ -63,6 +63,9 @@ def test_parse_grid_diagnostics():
         parse_grid("0101\n0011\n1000")  # 3 rows of width 4
     with pytest.raises(MatrixParseError):
         parse_grid("\n\n")
+    # Square but too large: the BitMatrix error, placed on line 1.
+    with pytest.raises(MatrixParseError, match=r"line 1: order must be in \[1, 32\]"):
+        parse_grid("\n".join(["0" * 33] * 33))
 
 
 def test_parse_grid_skips_blank_lines():
