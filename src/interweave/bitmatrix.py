@@ -88,6 +88,15 @@ class BitMatrix:
         self.rows = rows
 
     @classmethod
+    def _unchecked(cls, rows: tuple) -> "BitMatrix":
+        """The matrix of the tuple ``rows`` without checking its words:
+        for row words taken from a matrix that is already valid."""
+        a = object.__new__(cls)
+        a.n = len(rows)
+        a.rows = rows
+        return a
+
+    @classmethod
     def zeros(cls, n: int) -> "BitMatrix":
         return cls((0,) * n)
 

@@ -97,7 +97,8 @@ def orbit(a: BitMatrix) -> set[BitMatrix]:
     for rows in _rotations(a.rows, n):
         rows += rows
         images.update(rows[k : k + n] for k in range(n))
-    return {BitMatrix(rows) for rows in images}
+    # The images' words are ``a``'s, moved, so they are not checked again.
+    return set(map(BitMatrix._unchecked, images))
 
 
 def canonical(a: BitMatrix) -> BitMatrix:

@@ -76,6 +76,26 @@ def test_orbit_matches_oracle_images(a):
     assert orbit(a) == expected
 
 
+def test_orbit_matches_oracle_images_at_order_32():
+    # orbit builds its images from the matrix's own words without
+    # checking them again; at the widest order they must still be the
+    # oracle's, and each one a valid matrix.  The last input repeats
+    # every fourth row and every eighth column, so its orbit is small.
+    rng = random.Random(3232)
+    inputs = [_random_matrix(rng, 32) for _ in range(3)]
+    rows = tuple(rng.getrandbits(8) * 0x01010101 for _ in range(4))
+    inputs.append(BitMatrix(rows * 8))
+    for a in inputs:
+        grid = oracle.words_to_grid(a.rows, a.n)
+        expected = {
+            BitMatrix(oracle.grid_to_words(img)) for img in oracle.images(grid)
+        }
+        images = orbit(a)
+        assert images == expected
+        assert all(img.n == 32 and BitMatrix(img.rows) == img for img in images)
+    assert len(images) == 4 * 8
+
+
 # -- canonical form -------------------------------------------------------------
 
 def test_canonical_example_order2():

@@ -301,7 +301,9 @@ def test_scan_halves_on_every_generated_shape(n):
 def test_order5_sends_few_heads_to_the_last_row_bits(monkeypatch):
     # The prefix's dead anchors leave most heads that pass the head half
     # with no pair to decide on the last row: order 5 scans 54 933 heads
-    # and decides the last rows of 15 801 of them pair by pair.
+    # and decides the last rows of 15 801 of them pair by pair.  A count
+    # adds up by stem the 28 090 quiet heads that have weavable last
+    # rows, so it scans 26 843, and the same 15 801 need the bitsets.
     real_head, real_bits = enumeration._head_scan, enumeration._last_row_bits
     calls = {"head": 0, "bits": 0}
 
@@ -315,10 +317,11 @@ def test_order5_sends_few_heads_to_the_last_row_bits(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_head_scan", head_scan)
     monkeypatch.setattr(enumeration, "_last_row_bits", last_row_bits)
-    report = enumerate_classes(EnumConfig(5))
-    assert (report.q_bar, report.rejected_minimality) == (705366, 309559)
-    assert calls["head"] == 54933
-    assert 0 < calls["bits"] < 20_000
+    for emit, heads in ((None, 26843), (lambda *a: None, 54933)):
+        calls.update(head=0, bits=0)
+        report = _census_loop(EnumConfig(5), emit)
+        assert (report.q_bar, report.rejected_minimality) == (705366, 309559)
+        assert calls == {"head": heads, "bits": 15801}
 
 
 def test_order6_prefixes_match_brute_force():
@@ -381,6 +384,83 @@ def test_head_scan_decides_order5_rejects_once_per_head(monkeypatch):
     assert report.q_bar == 705366
     assert report.rejected_minimality == 309559
     assert decided == 127666
+
+
+# -- quiet heads ----------------------------------------------------------------------
+
+def _is_quiet(head, n):
+    """True iff no shift image can tie ``head + (w,)`` past its first row:
+    the first row is aperiodic and no later head row is a rotation of it."""
+    least, anchors = _shift_tables(n)[1:]
+    first = head[0]
+    return len(anchors[first]) == 1 and all(least[w] != first for w in head[1:])
+
+
+def _assert_count_equals_scans(cfg):
+    # A count adds up the quiet heads by stem; any run with an emit
+    # scans every head.  Everything but the time must agree.
+    count = replace(_census_loop(cfg), elapsed=0.0)
+    assert count == replace(_census_loop(cfg, lambda *a: None), elapsed=0.0), cfg
+
+
+@pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_count_of_each_prefix_equals_its_scans(n, mode):
+    cfg = EnumConfig(n, mode)
+    total = len(_prefixes(cfg, _shift_tables(n)[1]))
+    for p in range(total):
+        _assert_count_equals_scans(replace(cfg, shard=Shard(p, total)))
+
+
+def test_count_of_quiet_order6_prefixes_equals_their_scans():
+    # The quiet prefixes of first row 23, nine of its fifteen: the
+    # smallest order-6 prefixes with quiet stems of two middle rows.
+    cfg = EnumConfig(6, limit_override=True)
+    prefixes = _prefixes(cfg, _shift_tables(6)[1])
+    quiet = [
+        p for p, (prefix, _) in enumerate(prefixes)
+        if prefix[0] == 23 and _is_quiet(prefix, 6)
+    ]
+    assert len(quiet) == 9
+    for p in quiet:
+        _assert_count_equals_scans(replace(cfg, shard=Shard(p, len(prefixes))))
+
+
+@pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
+def test_count_never_scans_a_quiet_head(monkeypatch, mode):
+    # A count adds the quiet heads up by stem and scans only the others;
+    # a run that emits scans them all.
+    real = enumeration._head_scan
+    scanned = []
+
+    def head_scan(head, *args):
+        scanned.append(head)
+        return real(head, *args)
+
+    monkeypatch.setattr(enumeration, "_head_scan", head_scan)
+    for n in (4, 5):
+        scanned.clear()
+        enumerate_classes(EnumConfig(n, mode))
+        assert scanned and not any(_is_quiet(head, n) for head in scanned)
+        scanned.clear()
+        _census_loop(EnumConfig(n, mode), lambda *a: None)
+        assert any(_is_quiet(head, n) for head in scanned)
+
+
+@pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
+def test_phase_counts_add_up_in_count_list_and_walk_runs(mode):
+    # The minimality rejects are what is left of the candidates after
+    # the weavability rejects and the classes, in every kind of run.
+    cfg = EnumConfig(4, mode)
+    count = _run_shards(cfg)
+    _assert_phase_counts_add_up(count, mode)
+    assert count.rejected_minimality == (855 if mode == INTERWEAVINGS else 5115)
+    for wanted in LIST_FILTERS:
+        report = _run_shards(cfg, wanted=wanted, out=io.StringIO())
+        _assert_phase_counts_add_up(report, mode)
+        assert report.rejected_minimality >= 0
+        if wanted == "all":
+            assert replace(report, elapsed=0.0) == replace(count, elapsed=0.0)
 
 
 # -- symmetric-class tables -------------------------------------------------------
