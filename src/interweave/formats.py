@@ -22,12 +22,7 @@ class MatrixParseError(ValueError):
 
 def format_tuple(a: BitMatrix) -> str:
     """Row words as decimals on one line: ``'2 1 4'``."""
-    return _format_words(a.rows)
-
-
-def _format_words(rows) -> str:
-    """The tuple form of bare row words, with no ``BitMatrix`` check."""
-    return " ".join(map(str, rows))
+    return " ".join(map(str, a.rows))
 
 
 def format_grid(a: BitMatrix) -> str:

@@ -330,7 +330,7 @@ def test_order6_prefixes_match_brute_force():
     # rows, and the classes are exactly the weavable canonical ones, in
     # order.
     cfg = EnumConfig(6, limit_override=True)
-    prefixes = _prefixes(cfg, _shift_tables(6)[1])
+    prefixes = _prefixes(6, INTERWEAVINGS)
     assert len(prefixes) == 384
     smallest = [p for p, (_, allowed) in enumerate(prefixes) if len(allowed) == 6]
     assert smallest == list(range(378, 384))
@@ -407,7 +407,7 @@ def _assert_count_equals_scans(cfg):
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_count_of_each_prefix_equals_its_scans(n, mode):
     cfg = EnumConfig(n, mode)
-    total = len(_prefixes(cfg, _shift_tables(n)[1]))
+    total = len(_prefixes(n, mode))
     for p in range(total):
         _assert_count_equals_scans(replace(cfg, shard=Shard(p, total)))
 
@@ -416,7 +416,7 @@ def test_count_of_quiet_order6_prefixes_equals_their_scans():
     # The quiet prefixes of first row 23, nine of its fifteen: the
     # smallest order-6 prefixes with quiet stems of two middle rows.
     cfg = EnumConfig(6, limit_override=True)
-    prefixes = _prefixes(cfg, _shift_tables(6)[1])
+    prefixes = _prefixes(6, INTERWEAVINGS)
     quiet = [
         p for p, (prefix, _) in enumerate(prefixes)
         if prefix[0] == 23 and _is_quiet(prefix, 6)
@@ -485,17 +485,15 @@ def _classes(table, prefix=()):
     return kept
 
 
-def _prefix_list(n, **kwargs):
-    return [p for p, _ in _prefixes(EnumConfig(n, **kwargs), _shift_tables(n)[1])]
+def _prefix_list(n, mode=INTERWEAVINGS):
+    return [p for p, _ in _prefixes(n, mode)]
 
 
-def _prefix_pools(n, **kwargs):
+def _prefix_pools(n, mode=INTERWEAVINGS):
     """Each prefix of the order with the row pool the census loop hands
     its tables: the bitset of the words its later rows are drawn from,
     the second row alone at order 2."""
-    for (first, second), allowed in _prefixes(
-        EnumConfig(n, **kwargs), _shift_tables(n)[1]
-    ):
+    for (first, second), allowed in _prefixes(n, mode):
         yield (first, second), 1 << second if n == 2 else _bitset(allowed)
 
 
@@ -544,7 +542,7 @@ def test_symmetric_tables_count_the_packaged_m_bar_and_r_bar(n):
     # what the loop's AND with the weavable last rows would hide: a
     # table that holds tuples no pool test kept.
     expected = load_expected()
-    prefixes = list(_prefix_pools(n, limit_override=True))
+    prefixes = list(_prefix_pools(n))
     for (kernel, _), key, size in zip(SYMMETRIES, ("m_bar", "r_bar"), TABLE_SIZES[n]):
         if size is None:
             continue
@@ -574,7 +572,7 @@ def test_chiral_first_row_has_no_self_mirror_class():
     # rotates to 11 < 13 and could not be canonical.  The other counts
     # pin first rows whose tables are quick to build.
     found = {}
-    for prefix, pool in _prefix_pools(6, limit_override=True):
+    for prefix, pool in _prefix_pools(6):
         first = prefix[0]
         if first in (11, 13, 15, 23, 27, 31):
             table = _symmetric_table(6, reverse_words, *prefix, pool)
@@ -882,7 +880,7 @@ def test_failed_write_cancels_pending_prefixes(tmp_path, monkeypatch):
             raise BrokenPipeError("reader went away")
 
     cfg = EnumConfig(4, INTERWEAVINGS)
-    total = len(_prefixes(cfg, _shift_tables(4)[1]))
+    total = len(_prefixes(4, INTERWEAVINGS))
     assert total == 34
     monkeypatch.setattr(enumeration, "_census_loop", logged)
     with pytest.raises(BrokenPipeError):
@@ -981,6 +979,34 @@ def test_prefix_driver_equals_enumerate_classes(n, mode, jobs):
             assert reference.b_bar == (None if mode == INTERWEAVINGS else len(records))
     # Order 2 has 2 interweaving prefixes, so 2/3, 2/4 and 3/4 are empty.
     assert empty_shards == (3 if (n, mode) == (2, INTERWEAVINGS) else 0)
+
+
+@pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_each_prefix_block_equals_its_formatted_records(n, mode):
+    # A prefix task writes its lines from templates kept by last-row
+    # bitset; the record stream formats every class on its own.  Both
+    # must give the same lines, prefix by prefix, under every filter.
+    # A canonical tuple ending in word 1 has every row 1 and never
+    # weaves, so word 1 is checked where it is listed, in the heads.
+    prefixes = _prefixes(n, mode)
+    listed = {wanted: [] for wanted in LIST_FILTERS}
+    for p in range(len(prefixes)):
+        cfg = EnumConfig(n, mode, shard=Shard(p, len(prefixes)))
+        records = []
+        enumerate_classes(cfg, records.append)
+        for wanted in LIST_FILTERS:
+            lines = [
+                format_tuple(rec.canonical) + "\n"
+                for rec in records if LISTED[wanted](rec)
+            ]
+            assert enumeration._prefix_worker((cfg, wanted))[1] == "".join(lines)
+            listed[wanted] += lines
+    rows = [tuple(map(int, line.split())) for line in listed["all"]]
+    assert any(row[-1] == (1 << n) - 2 for row in rows)
+    if n > 2:
+        assert any(1 in row[1:] for row in rows)
+        assert all(listed[wanted] for wanted in LIST_FILTERS)
 
 
 def test_listing_builds_no_records(monkeypatch):
