@@ -90,7 +90,8 @@ class BitMatrix:
     @classmethod
     def _unchecked(cls, rows: tuple) -> "BitMatrix":
         """The matrix of the tuple ``rows`` without checking its words:
-        for row words taken from a matrix that is already valid."""
+        for row words known to be in range, such as those of a valid
+        matrix or of the census's row pool."""
         a = object.__new__(cls)
         a.n = len(rows)
         a.rows = rows

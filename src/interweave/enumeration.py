@@ -37,11 +37,11 @@ one word that ties is compared on alone, over rows that read head words
 and that word (:func:`_last_row_bits`).  The pairs anchored on the last
 row itself meet it at row 0, facing the first row, and are decided the
 same way; the prefix decides most of them for all its heads at once
-(:func:`_anchor_masks`).  At order 5 a run that lists scans 54 933
-heads and a count 26 843 (see below); in both the head half rejects
-7 796 of them (127 666 of the 309 559 non-canonical candidates), and
-15 801 heads need the last-row bitsets, which compare 10 785 tie words
-on.
+(:func:`_anchor_masks`).  At order 5 the census scans 54 933 heads
+when it lists and 26 843 when it counts (see below); in both the head
+half rejects 7 796 of them (127 666 of the 309 559 non-canonical
+candidates), and 15 801 heads need the last-row bitsets, which compare
+10 785 tie words on.
 
 A count adds up most heads without scanning them.  A shift image ties
 a generated tuple on its first row only through a row that is a
@@ -54,39 +54,33 @@ classes are its last rows outside the prefix's ``dead`` set, each with
 orbit n**2, and its counts follow from the fold of its rows.  A run
 that emits nothing walks a quiet prefix by stem, a head without its
 last row: it sums the quiet heads of each stem fold once per prefix,
-reads their symmetric classes off the tables' entries, and scans only
-the other heads (:func:`_loud_mids`).  At order 5, 28 125 of the
-55 125 heads are quiet; a full order-6 count takes about 40% less
-time.
+and scans only the other heads (:func:`_loud_mids`).  At order 5,
+28 125 of the 55 125 heads are quiet; a full order-6 count takes about
+40% less time.
 
-The symmetry flags are looked up, not tested per class.  A class is
-self-mirror (rotation-stable) exactly when the mirror (the quarter turn)
-maps some member onto a shift of itself, and then every member, the
-canonical tuple too, is a fixed point of the mirror (the quarter turn)
-followed by some shift.  The tables of :mod:`interweave.tables` hold
-those fixed points whose rows come from the prefix's pool, the tuples
-the census builds with the prefix, mapping a head to the bitset of its
-fixed-point last rows (:func:`~interweave.tables._symmetric_table`):
-one table per symmetry and (first, second) prefix, built by the
-prefix's task from one walk of the kernel's cell cycles and dropped
-after it.  The loop reads each head's entry with one lookup per table
-and ANDs it with the head's weavable classes, so the loop's own
-minimality scan picks the canonical tuples and nothing is canonicalised
-twice.  At order 5 the tables hold 2 275 and 145 tuples, which the AND
-cuts to the 1 302 self-mirror and 74 rotation-stable classes of the
-705 366.
-
-The same tables list the symmetric classes without the census.  A
-prefix's heads have one source or the other and run through one loop
-body: the census builds every head from the row pool, and a symmetric
-filter walks its table's heads in order, each with its table entry as
-its last rows, and builds no other table.  The fold and the scans then
-keep exactly the symmetric classes, in lexicographic order, with
-nothing canonicalised and no set of seen classes kept.  At order 5 the
-walks examine the tables' 2 275 and 145 tuples for the 1 302 and 74
-classes; at order 6 they list the 586 060 self-mirror and 902
-rotation-stable classes in about a second, where the census takes
-minutes.
+The symmetric classes are found one way: by walking tables, not by
+testing each class.  A class is self-mirror (rotation-stable) exactly
+when the mirror (the quarter turn) maps some member onto a shift of
+itself, and then every member, the canonical tuple too, is a fixed
+point of the mirror (the quarter turn) followed by some shift.  The
+tables of :mod:`interweave.tables` hold those fixed points whose rows
+come from the prefix's pool, the tuples the census builds with the
+prefix, mapping a head to the bitset of its fixed-point last rows
+(:func:`~interweave.tables._symmetric_table`): one table per symmetry
+and (first, second) prefix, built by the prefix's task from one walk of
+the kernel's cell cycles and dropped after it.  A walk runs the table's
+heads in order through the census's loop body, :func:`_scan`, each with
+its table entry as its last rows, so the fold and the scans keep
+exactly the symmetric classes, in lexicographic order, with nothing
+canonicalised and no set of seen classes kept.  The census walks both
+tables of each prefix: their class counts are its ``m_bar`` and
+``r_bar``, and their classes filed by head are the flags it hands on,
+which only the record stream looks up.  A ``mirror`` or ``rotation``
+listing walks its own table only.  At order 5 the walks scan 566 heads
+and examine the tables' 2 275 and 145 tuples for the 1 302 self-mirror
+and 74 rotation-stable classes of the 705 366; at order 6 they list the
+586 060 self-mirror and 902 rotation-stable classes in about a second,
+where the census takes minutes.
 
 The minimality scan doubles as a stabilizer count: the shift pairs
 whose image equals the matrix itself form its stabilizer, and the orbit
@@ -131,13 +125,13 @@ and adds up the reports, without sorting or comparing anything.  Memory
 follows the largest prefix block, not the whole listing.  Progress, the
 merge and a failed prefix take one path with or without a pool.
 
-The census loop, :func:`_census_loop`, hands on each head's classes
-at once: the head's row words, bitsets over the last row for the
-classes and their flags, and the few orbit sizes below n**2.  A prefix
-task writes a head's lines from a template, the lines of its weavable
-bitset with a NUL where the head's words go, built once per bitset and
-task: at order 5 the 46 637 heads that list a class share 2 031
-templates, at most 40 per prefix.  So the listing builds no
+The census loop, :func:`_census_loop`, hands on each head's classes at
+once: the head's row words, bitsets over the last row for the classes
+and the weavable ones, the few orbit sizes below n**2, and the prefix's
+flags.  A prefix task writes a head's lines from a template, the lines
+of its weavable bitset with a NUL where the head's words go, built once
+per bitset and task: at order 5 the 46 637 heads that list a class
+share 2 031 templates, at most 40 per prefix.  So the listing builds no
 ``BitMatrix`` and no ``ClassRecord``; only :func:`enumerate_classes`,
 the library's record stream, walks the bits and wraps each class in a
 record.
@@ -227,9 +221,11 @@ class CountReport:
     candidates, the weavability rejects and the classes, and
     ``rejected_minimality`` is what they leave, so a count that adds up
     heads without scanning them needs no count of its own for it.
-    A listing under the ``mirror`` or ``rotation`` filter walks that
-    symmetry's tables instead of the census, so its report counts the
-    symmetric classes only: ``q_bar`` is the number listed and
+    ``m_bar`` and ``r_bar`` are the classes of the walks of each
+    prefix's symmetric tables, whose tuples are not candidates.
+    A listing under the ``mirror`` or ``rotation`` filter walks only
+    that symmetry's tables, instead of the census, so its report counts
+    the symmetric classes only: ``q_bar`` is the number listed and
     ``q_count`` the sum of their orbit sizes, its candidates are the
     tuples the tables' entries hold, and of ``m_bar`` and ``r_bar`` the
     walked symmetry's equals ``q_bar`` and the other is 0.
@@ -390,12 +386,11 @@ def _anchor_masks(first, second, n):
     return dead, anchored
 
 
-def _loud_mids(start, allowed, pool, dead, n, weavable_mode, tables, sums):
-    """The rows after the quiet prefix ``start`` of the heads a count
-    still scans, as one list per stem; the quiet heads are added up in
-    ``sums`` instead: their weavable tuples (interweavings mode only),
-    classes and weavable classes, then their classes in each of
-    ``tables``.
+def _loud_mids(start, allowed, pool, dead, n, weavable_mode):
+    """``(sums, mids)`` for the quiet prefix ``start``: the sums of its
+    quiet heads, their weavable tuples (interweavings mode only), classes
+    and weavable classes, and the rows after ``start`` of the heads a
+    count still scans.
 
     The heads come stem by stem, a stem being a head without its last
     row.  A head of a quiet prefix is quiet when none of its rows after
@@ -406,7 +401,7 @@ def _loud_mids(start, allowed, pool, dead, n, weavable_mode, tables, sums):
     the fold of the stem and on the head's last row, so each stem fold's
     quiet heads are summed once, over the rows that are no rotation of
     the first; the memo is dropped with the prefix.  A stem with a row
-    that is a rotation of the first yields all its heads, any other only
+    that is a rotation of the first scans all its heads, any other only
     those whose last row is one.
     """
     top = (1 << n) - 1
@@ -414,42 +409,102 @@ def _loud_mids(start, allowed, pool, dead, n, weavable_mode, tables, sums):
     covers, misses = _bit_tables(n)[:2]
     first = start[0]
     ends = pool & (1 << top) - 2  # the pool's two-colour words
-
-    def woven(ored, anded):  # the ends that complete a two-colour fold
-        return covers[top & ~ored] & misses[anded] & ends
-
     quiet = [b for b in allowed if least[b] != first]
     turns = [b for b in allowed if least[b] == first]  # the first row's rotations
     memo = {}  # the stem's fold -> its quiet heads' sums
+    sums = (0, 0, 0)
+    scanned = []  # each stem with the last rows of its heads to scan
     for stem in itertools.product(allowed, repeat=n - 4):
-        loud = any(least[w] == first for w in stem)
-        if not loud:
-            rows = start + stem
-            key = ored, anded, one_colour = (
-                reduce(or_, rows), reduce(and_, rows), top in rows
-            )
-            if key not in memo:
-                fits = [
-                    0 if one_colour or b == top else woven(ored | b, anded & b)
-                    for b in quiet
-                ]
-                kept = sum(map(int.bit_count, [f & ~dead for f in fits]))
-                # In all mode every quiet head's classes are pool & ~dead.
-                memo[key] = (
-                    (sum(map(int.bit_count, fits)), kept, kept)
-                    if weavable_mode
-                    else (0, len(quiet) * (pool & ~dead).bit_count(), kept)
-                )
-            sums[:3] = map(add, sums, memo[key])
-        yield [stem + (b,) for b in (allowed if loud else turns)]
-    sums[3:] = (
-        sum(
-            (bits & woven(reduce(or_, head), reduce(and_, head)) & ~dead).bit_count()
-            for head, bits in table.items()
-            if top not in head and all(least[w] != first for w in head[2:])
+        if any(least[w] == first for w in stem):
+            scanned.append((stem, allowed))
+            continue
+        scanned.append((stem, turns))
+        rows = start + stem
+        key = ored, anded, one_colour = (
+            reduce(or_, rows), reduce(and_, rows), top in rows
         )
-        for table in tables
-    )
+        if key not in memo:
+            fits = [
+                0 if one_colour or b == top
+                else covers[top & ~(ored | b)] & misses[anded & b] & ends
+                for b in quiet
+            ]
+            kept = sum(map(int.bit_count, [f & ~dead for f in fits]))
+            # In all mode every quiet head's classes are pool & ~dead.
+            memo[key] = (
+                (sum(map(int.bit_count, fits)), kept, kept)
+                if weavable_mode
+                else (0, len(quiet) * (pool & ~dead).bit_count(), kept)
+            )
+        sums = tuple(map(add, sums, memo[key]))
+    return sums, (stem + (b,) for stem, lasts in scanned for b in lasts)
+
+
+def _filer(found):
+    """An ``emit`` that files each head's weavable classes in ``found``."""
+
+    def emit(head, classes, weavable, *rest):
+        found[head] = weavable
+
+    return emit
+
+
+def _scan(n, weavable_mode, start, dead, anchored, mids, pools, emit, flags):
+    """The census loop's one body, run over the heads ``start + mid`` of
+    one prefix, each with its ``pool`` of last rows to try, in step.
+    Returns ``(fitted, b_bar, q_bar, short)``: the tuples whose head's
+    fold they complete, the classes, the weavable classes and how far
+    the weavable classes' orbits fall short of n**2, summed.  Each head
+    with classes goes to ``emit`` (if given), with ``flags``.
+    """
+    top = (1 << n) - 1
+    rotl, least, anchors = _shift_tables(n)
+    covers, misses = _bit_tables(n)[:2]
+    two_colour = (1 << top) - 2  # the words 1 .. top - 1
+    nn = n * n
+    first = start[0]
+    # The fold of the head rows the prefix fixes.
+    start_or, start_and = first | start[-1], first & start[-1]
+    fitted = b_bar = q_bar = short = 0
+    for mid, pool in zip(mids, pools):
+        head = start + mid
+        ored, anded = start_or, start_and
+        for w in mid:
+            ored |= w
+            anded &= w
+        # A last row w completes the fold when it sets every bit the
+        # head leaves clear and clears every bit it sets.  In
+        # interweavings mode the pool holds no 0 or all-ones word.
+        fits = covers[top & ~ored] & misses[anded] & pool
+        if weavable_mode:
+            lasts = fits
+            fitted += fits.bit_count()
+            if not lasts:
+                continue
+        else:
+            lasts = pool
+            # The fold also rejects a 0 or all-ones row; every later
+            # row is >= first, so only the first can be 0.
+            fits = fits & two_colour if first and top not in head else 0
+        tied = _head_scan(head, rotl, least, anchors, n)
+        if tied is None:
+            continue
+        # With no pair tied past the head or anchored on the last row,
+        # no image ties past the second row: canonical, stabilizer 1.
+        classes = lasts & ~dead
+        orbits = {}
+        if tied or anchored:
+            classes, orbits = _last_row_bits(head, tied + anchored, classes, n)
+        b_bar += classes.bit_count()
+        weavable = classes & fits
+        if weavable:
+            q_bar += weavable.bit_count()
+            for w, size in orbits.items():
+                if weavable >> w & 1:
+                    short += nn - size
+        if emit is not None and classes:
+            emit(head, classes, weavable, orbits, flags)
+    return fitted, b_bar, q_bar, short
 
 
 def _census_loop(
@@ -459,49 +514,42 @@ def _census_loop(
     wanted: str = "all",
 ) -> CountReport:
     """The census of this shard's slice, handing the classes of each head
-    that has any to ``emit`` as ``(head, classes, weavable, self_mirror,
-    rotation_stable, orbits)``.
+    that has any to ``emit`` as ``(head, classes, weavable, orbits,
+    flags)``.
 
-    ``head`` is the first n - 1 row words.  The next four are bitsets
-    over the last row word w, bit w standing for the class whose
-    canonical row-word tuple is ``head + (w,)``: the classes, and those
-    among them that are weavable, self-mirror and rotation-stable.
-    ``orbits`` maps the few classes whose orbit is smaller than n**2 to
-    their orbit size, by last row word.  Heads come in lexicographic
-    order, so the classes do, taking each head's bits in ascending
-    order; none are accumulated here, so memory stays O(1) in the class
-    count.  In ``interweavings`` mode only weavable classes are
-    generated; in ``all`` mode every class is.  ``progress`` (if given)
-    receives the running candidate count after each (first, second) row
-    prefix.
+    ``head`` is the first n - 1 row words.  The next two are bitsets over
+    the last row word w, bit w standing for the class whose canonical
+    row-word tuple is ``head + (w,)``: the classes, and those among them
+    that are weavable.  ``orbits`` maps the few classes whose orbit is
+    smaller than n**2 to their orbit size, by last row word.  ``flags``
+    is the prefix's pair of dicts from a head to the bitsets of its
+    self-mirror and of its rotation-stable classes, each holding only
+    the heads that have some.  Heads come in lexicographic order, so the
+    classes do, taking each head's bits in ascending order; none are
+    accumulated here.  In ``interweavings`` mode only weavable classes
+    are generated; in ``all`` mode every class is.  ``progress`` (if
+    given) receives the running candidate count after each (first,
+    second) row prefix.
 
-    ``wanted``, a list filter, picks the source of each prefix's heads;
-    everything after it, the fold, the scans, the counters and ``emit``,
-    is one body.  ``"all"`` is the census: every head the row pool
-    builds, each with the whole pool as its last rows, and both
-    symmetric tables.  ``"mirror"`` and ``"rotation"`` build only the
-    prefix's table of that symmetry, whose rows all come from the pool,
-    and walk it: its heads in order, each with its entry as its last
-    rows.  Its weavable classes are then exactly the symmetric classes
-    of the prefix, and the counts cover only them: the candidates are
-    the tuples the entries hold, the walked symmetry's count equals
-    ``q_bar`` and the other symmetry's count is 0.
+    ``wanted``, a list filter, picks the source of each prefix's heads,
+    and :func:`_scan` is the one body they all run through.  ``"mirror"``
+    and ``"rotation"`` walk the prefix's table of that symmetry, whose
+    rows all come from the pool: its heads in order, each with its entry
+    as its last rows.  Its weavable classes are then exactly the
+    symmetric classes of the prefix, and the report counts them (see
+    :class:`CountReport`); its ``flags`` are empty.  ``"all"`` is the
+    census: every head the row pool builds, each with the whole pool as
+    its last rows.  It first walks both of the prefix's tables: their
+    class counts are its ``m_bar`` and ``r_bar``, and their weavable
+    classes filed by head are its ``flags``.
 
-    A run with no ``emit``, a count, hands the loop body only the heads
-    of a quiet prefix that :func:`_loud_mids` cannot add up by stem, in
-    order within each stem; its counts are those of a run that scans
-    every head.
+    A run with no ``emit``, a count, hands the census only the heads of
+    a quiet prefix that :func:`_loud_mids` cannot add up by stem; its
+    counts are those of a run that scans every head.
     """
     n = cfg.n
-    top = (1 << n) - 1
     weavable_mode = cfg.mode == INTERWEAVINGS
     index, total = cfg.shard
-
-    rotl, least, anchors = _shift_tables(n)
-    covers, misses = _bit_tables(n)[:2]
-    two_colour = (1 << top) - 2  # the words 1 .. top - 1
-    nn = n * n
-
     candidates = rejected_weavability = 0
     # How far the weavable classes' orbits fall short of n**2, summed.
     b_bar = q_bar = m_bar = r_bar = short = 0
@@ -515,95 +563,53 @@ def _census_loop(
         else:
             mids = itertools.product(allowed, repeat=n - 3)
             start, pool_bits = prefix, _bitset(allowed)
-        # The fold of the head rows the prefix fixes.
-        start_or, start_and = first | start[-1], first & start[-1]
         dead, anchored = _anchor_masks(first, second, n)
-        # The census reads both tables, a walk only the one it walks.
-        msym, rsym = (
-            _symmetric_table(n, kernel, first, second, pool_bits)
-            if wanted in ("all", name) else {}
-            for name, kernel in _KERNELS.items()
-        )
+        scan_args = (n, weavable_mode, start, dead, anchored)
+        walks = {}  # each walked table's heads in order, and their entries
+        for name, kernel in _KERNELS.items():
+            if wanted in ("all", name):
+                table = _symmetric_table(n, kernel, first, second, pool_bits)
+                heads = sorted(head[len(start):] for head in table)
+                walks[name] = heads, [table[start + mid] for mid in heads]
+        flags = ({}, {})
+        sums = (0, 0, 0)
         if wanted == "all":
             pools = itertools.repeat(pool_bits)
             held = len(allowed) ** (n - 2)  # the tuples below
+            # The walks' classes are the prefix's symmetric classes, and
+            # filed by head they are its flags.
+            symmetric = tuple(
+                _scan(*scan_args, *walk, _filer(found), ({}, {}))[2]
+                for walk, found in zip(walks.values(), flags)
+            )
+            # A count adds up the quiet heads by stem when the prefix is
+            # quiet: its first row aperiodic and nothing anchored.
+            quiet = len(_shift_tables(n)[2][first]) == 1 and not anchored
+            if emit is None and n > 3 and quiet:
+                sums, mids = _loud_mids(
+                    start, allowed, pool_bits, dead, n, weavable_mode
+                )
         else:
-            # The walk: the table's heads in order, each with its entry
-            # as its last rows, and the tuples the entries hold.
-            table = msym or rsym  # the one built
-            mids = sorted(h[len(start):] for h in table)
-            pools = [table[start + mid] for mid in mids]
+            mids, pools = walks[wanted]
             held = sum(map(int.bit_count, pools))
+        fitted, classes, weavable, missing = _scan(*scan_args, mids, pools, emit, flags)
+        if wanted != "all":  # the walk is the one symmetric count
+            symmetric = [weavable if name == wanted else 0 for name in _KERNELS]
         candidates += held
         # Every tuple is a weavability reject until its head fits it.
-        rejected_weavability += held if weavable_mode else 0
-        # A count adds up the quiet heads by stem when the prefix is
-        # quiet: its first row aperiodic and nothing anchored.
-        sums = [0] * 5
-        quiet = len(anchors[first]) == 1 and not anchored
-        if emit is None and wanted == "all" and n > 3 and quiet:
-            stems = _loud_mids(
-                start, allowed, pool_bits, dead, n, weavable_mode, (msym, rsym), sums
-            )
-            mids = itertools.chain.from_iterable(stems)
-        for mid, pool in zip(mids, pools):
-            head = start + mid
-            ored, anded = start_or, start_and
-            for w in mid:
-                ored |= w
-                anded &= w
-            # A last row w completes the fold when it sets every bit
-            # the head leaves clear and clears every bit it sets.  In
-            # interweavings mode the pool holds no 0 or all-ones word.
-            fits = covers[top & ~ored] & misses[anded] & pool
-            if weavable_mode:
-                lasts = fits
-                rejected_weavability -= fits.bit_count()
-                if not lasts:
-                    continue
-            else:
-                lasts = pool
-                # The fold also rejects a 0 or all-ones row; every later
-                # row is >= first, so only the first can be 0.
-                fits = fits & two_colour if first and top not in head else 0
-            tied = _head_scan(head, rotl, least, anchors, n)
-            if tied is None:
-                continue
-            # With no pair tied past the head or anchored on the last
-            # row, no image ties past the second row: canonical,
-            # stabilizer 1.
-            classes = lasts & ~dead
-            orbits = {}
-            if tied or anchored:
-                classes, orbits = _last_row_bits(head, tied + anchored, classes, n)
-            b_bar += classes.bit_count()
-            weavable = classes & fits
-            mirror = rotation = 0
-            if weavable:
-                q_bar += weavable.bit_count()
-                for w, size in orbits.items():
-                    if weavable >> w & 1:
-                        short += nn - size
-                # The tables hold symmetric tuples from the pool; the AND
-                # keeps the canonical weavable ones, the classes.
-                mirror = msym.get(head, 0) & weavable
-                rotation = rsym.get(head, 0) & weavable
-                m_bar += mirror.bit_count()
-                r_bar += rotation.bit_count()
-            if emit is not None and classes:
-                emit(head, classes, weavable, mirror, rotation, orbits)
-        rejected_weavability -= sums[0]
-        b_bar += sums[1]
-        q_bar += sums[2]
-        m_bar += sums[3]
-        r_bar += sums[4]
+        rejected_weavability += held - fitted - sums[0] if weavable_mode else 0
+        b_bar += classes + sums[1]
+        q_bar += weavable + sums[2]
+        short += missing
+        m_bar += symmetric[0]
+        r_bar += symmetric[1]
         if progress is not None:
             progress(candidates)
 
     return CountReport(
         n=n,
         mode=cfg.mode,
-        q_count=nn * q_bar - short,
+        q_count=n * n * q_bar - short,
         q_bar=q_bar,
         m_bar=m_bar,
         r_bar=r_bar,
@@ -625,22 +631,24 @@ def enumerate_classes(
     """Produce one ClassRecord per shift class of this shard's slice.
 
     Records reach ``sink`` in lexicographic order of their canonical
-    row tuples and are never accumulated here, so memory stays O(1) in
-    the class count.  In ``interweavings`` mode only weavable classes
-    are generated; in ``all`` mode every class is, and the weaving
-    flags are filled per record.  ``progress`` (if given) receives the
-    running candidate count after each (first, second) row prefix.
+    row tuples and are never accumulated here, so memory follows the
+    largest prefix's walked tables, not the class count.  In
+    ``interweavings`` mode only weavable classes are generated; in
+    ``all`` mode every class is, and the weaving flags are filled per
+    record.  ``progress`` (if given) receives the running candidate
+    count after each (first, second) row prefix.
     """
     emit = None
     if sink is not None:
         nn = cfg.n * cfg.n
 
-        def emit(head, classes, weavable, mirror, rotation, orbits):
+        def emit(head, classes, weavable, orbits, flags):
+            mirror, rotation = (found.get(head, 0) for found in flags)
             for w in _select(range(1 << cfg.n), classes):
                 bit = 1 << w
                 sink(
                     ClassRecord(
-                        BitMatrix(head + (w,)),
+                        BitMatrix._unchecked(head + (w,)),
                         orbits.get(w, nn),
                         bool(weavable & bit),
                         bool(mirror & bit),
@@ -735,7 +743,7 @@ def _prefix_worker(task):
     ends = [f"\0{w}\n" for w in range(1 << cfg.n)]
     templates = {}  # weavable bitset -> its lines, each after a NUL
 
-    def emit(head, classes, weavable, *flags):
+    def emit(head, classes, weavable, *rest):
         if weavable:
             template = templates.get(weavable)
             if template is None:
@@ -786,8 +794,7 @@ def _run_shards(
     also write the listing, one tuple line per class in lexicographic
     order, to the text stream ``out``; the ``mirror`` and ``rotation``
     filters walk that symmetry's tables instead of the census, and the
-    report counts what they walk: the walked symmetry's count equals
-    ``q_bar`` and the other is 0 (see :func:`_census_loop`).
+    report counts what they walk (see :class:`CountReport`).
     ``progress(cfg.shard, candidates)`` fires after each (first, second)
     prefix with the running candidate count.
 
@@ -858,11 +865,9 @@ def enumerate_sharded(
     lexicographically sorted list of canonical row tuples listed under
     the list filter ``collect``, read back from the streamed listing, or
     None when ``collect`` is None.  With ``collect`` ``"mirror"`` or
-    ``"rotation"`` the run walks the symmetric tables, not the census
-    (see :func:`_census_loop`): the report counts the listed classes
-    only, its ``candidates_examined`` are the tuples the tables' entries
-    hold, and of ``m_bar`` and ``r_bar`` the walked symmetry's equals
-    ``q_bar`` and the other is 0.
+    ``"rotation"`` the run walks the symmetric tables, not the census,
+    and the report counts the listed classes only (see
+    :class:`CountReport`).
     """
     if shards < 1:
         raise ValueError(f"shard count must be positive, got {shards}")

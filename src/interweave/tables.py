@@ -7,9 +7,11 @@ and counted with one popcount.  The tables are built from the word
 kernels of :mod:`interweave.transforms` and cached per order, read-only.
 The symmetric tables hold the matrices the mirror or the quarter turn
 maps to a shift of themselves whose rows come from the prefix's pool,
-the tuples the census builds: they canonicalise nothing, and the census
-loop ANDs each head's entry with its canonical weavable last rows.  At
-order 5 the interweaving prefixes' tables hold 2 275 and 145 tuples.
+the tuples the census builds.  They canonicalise nothing: the census
+loop walks each table's heads, each with its entry as its last rows,
+and its own scans keep the canonical weavable tuples, the symmetric
+classes.  At order 5 the interweaving prefixes' tables hold 2 275 and
+145 tuples.
 Both come from one walk, the cycles of the cell permutation "word
 kernel, then shift back", filed under their top rows and cached per
 order, kernel and shift.  The task of each (first, second) row prefix
@@ -115,8 +117,8 @@ def _symmetric_table(n, kernel, first, second, pool):
     A class is self-mirror (rotation-stable) exactly when the mirror
     (the quarter turn) maps some member to a shift of itself.  Then
     every member, the canonical tuple too, is a fixed point of the
-    kernel followed by some shift back, so the census loop, which ANDs
-    a head's entry with the head's canonical weavable last rows, keeps
+    kernel followed by some shift back, so a walk of the table through
+    the census loop, each head with its entry as its last rows, keeps
     exactly its symmetric classes; nothing here is canonicalised.  The
     table holds no tuple the census does not build, so a walk of it
     examines exactly its tuples.

@@ -8,10 +8,11 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 
@@ -300,10 +301,12 @@ def test_scan_halves_on_every_generated_shape(n):
 
 def test_order5_sends_few_heads_to_the_last_row_bits(monkeypatch):
     # The prefix's dead anchors leave most heads that pass the head half
-    # with no pair to decide on the last row: order 5 scans 54 933 heads
-    # and decides the last rows of 15 801 of them pair by pair.  A count
-    # adds up by stem the 28 090 quiet heads that have weavable last
-    # rows, so it scans 26 843, and the same 15 801 need the bitsets.
+    # with no pair to decide on the last row: the order-5 census scans
+    # 54 933 heads and decides the last rows of 15 801 of them pair by
+    # pair.  A count adds up by stem the 28 090 quiet heads that have
+    # weavable last rows, so its census scans 26 843, and the same
+    # 15 801 need the bitsets.  Every run also walks the symmetric
+    # tables, which scan 566 heads and send 216 to the bitsets.
     real_head, real_bits = enumeration._head_scan, enumeration._last_row_bits
     calls = {"head": 0, "bits": 0}
 
@@ -317,11 +320,11 @@ def test_order5_sends_few_heads_to_the_last_row_bits(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_head_scan", head_scan)
     monkeypatch.setattr(enumeration, "_last_row_bits", last_row_bits)
-    for emit, heads in ((None, 26843), (lambda *a: None, 54933)):
+    for emit, heads in ((None, 27409), (lambda *a: None, 55499)):
         calls.update(head=0, bits=0)
         report = _census_loop(EnumConfig(5), emit)
         assert (report.q_bar, report.rejected_minimality) == (705366, 309559)
-        assert calls == {"head": heads, "bits": 15801}
+        assert calls == {"head": heads, "bits": 16017}
 
 
 def test_order6_prefixes_match_brute_force():
@@ -364,7 +367,9 @@ def test_order6_prefixes_match_brute_force():
 def test_head_scan_decides_order5_rejects_once_per_head(monkeypatch):
     # A head whose shift image is already smaller rejects all of its
     # weavable last rows at once; at order 5 that is 127 666 of the
-    # 309 559 minimality rejects.
+    # 309 559 minimality rejects.  A count's walks of the symmetric
+    # tables reject heads too, and their weavable rows from the pool add
+    # 1 016: the walks alone decide exactly that many.
     real = enumeration._head_scan
     decided = 0
 
@@ -383,7 +388,10 @@ def test_head_scan_decides_order5_rejects_once_per_head(monkeypatch):
     report = enumerate_classes(EnumConfig(5))
     assert report.q_bar == 705366
     assert report.rejected_minimality == 309559
-    assert decided == 127666
+    assert decided == 128682
+    for wanted in ("mirror", "rotation"):
+        _census_loop(EnumConfig(5), wanted=wanted)
+    assert decided == 128682 + 1016
 
 
 # -- quiet heads ----------------------------------------------------------------------
@@ -426,10 +434,22 @@ def test_count_of_quiet_order6_prefixes_equals_their_scans():
         _assert_count_equals_scans(replace(cfg, shard=Shard(p, len(prefixes))))
 
 
+# Heads a count scans, and the quiet ones among them, per order and mode:
+# all of the quiet ones are heads of the symmetric tables' walks.
+COUNT_SCANS = {
+    (4, INTERWEAVINGS): (353, 22),
+    (5, INTERWEAVINGS): (27409, 261),
+    (4, ALL): (761, 36),
+    (5, ALL): (63525, 492),
+}
+
+
 @pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
 def test_count_never_scans_a_quiet_head(monkeypatch, mode):
-    # A count adds the quiet heads up by stem and scans only the others;
-    # a run that emits scans them all.
+    # A count adds the quiet heads up by stem and its census scans only
+    # the others; a run that emits scans them all.  Each run also walks
+    # the prefixes' symmetric tables, whose heads may be quiet: taking
+    # away exactly what the two walks scan leaves the census's heads.
     real = enumeration._head_scan
     scanned = []
 
@@ -440,11 +460,21 @@ def test_count_never_scans_a_quiet_head(monkeypatch, mode):
     monkeypatch.setattr(enumeration, "_head_scan", head_scan)
     for n in (4, 5):
         scanned.clear()
+        for wanted in ("mirror", "rotation"):
+            _census_loop(EnumConfig(n, mode), wanted=wanted)
+        walked = Counter(scanned)
+        assert any(_is_quiet(head, n) for head in walked)
+        scanned.clear()
         enumerate_classes(EnumConfig(n, mode))
-        assert scanned and not any(_is_quiet(head, n) for head in scanned)
+        quiet = sum(_is_quiet(head, n) for head in scanned)
+        assert (len(scanned), quiet) == COUNT_SCANS[n, mode]
+        census = Counter(scanned) - walked
+        assert walked <= Counter(scanned) and census
+        assert not any(_is_quiet(head, n) for head in census)
         scanned.clear()
         _census_loop(EnumConfig(n, mode), lambda *a: None)
-        assert any(_is_quiet(head, n) for head in scanned)
+        assert walked <= Counter(scanned)
+        assert any(_is_quiet(head, n) for head in Counter(scanned) - walked)
 
 
 @pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
@@ -529,6 +559,27 @@ def test_symmetric_tables_equal_the_oracle_classes(n):
             assert table == expected, (mode, kernel.__name__, prefix)
 
 
+@pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_record_flags_equal_the_oracle(n, mode):
+    # The census takes its flags from the walks of the symmetric tables;
+    # the 2-D oracle moves each canonical grid and canonicalises the
+    # result.  A class is self-mirror (rotation-stable) when that gives
+    # the grid back, and the flags are set on weavable classes only.
+    _, records = _run(n, mode)
+    flagged = {"mirror": 0, "rotation": 0}
+    for rec in records:
+        grid = oracle.words_to_grid(rec.canonical.rows, n)
+        assert oracle.canonical_grid(grid) == grid
+        weavable = oracle.is_weavable_grid(grid)
+        for (_, move), name, flag in zip(
+            SYMMETRIES, flagged, (rec.self_mirror, rec.rotation_stable)
+        ):
+            assert flag == (weavable and oracle.canonical_grid(move(grid)) == grid)
+            flagged[name] += flag
+    assert flagged == dict(zip(flagged, SMALL_CENSUS[n][3:]))
+
+
 # The tuples the interweaving prefixes' tables hold, summed over the
 # prefixes, per order: (mirror, quarter turn).  The order-6 mirror
 # tables hold 1 072 040.
@@ -539,8 +590,8 @@ TABLE_SIZES = {2: (2, 1), 3: (5, 3), 4: (458, 41), 5: (2275, 145), 6: (None, 192
 def test_symmetric_tables_count_the_packaged_m_bar_and_r_bar(n):
     # Order 6 counts the turn tables alone: the cheapest order-6 check
     # that the tables reach every rotation-stable class.  The sizes pin
-    # what the loop's AND with the weavable last rows would hide: a
-    # table that holds tuples no pool test kept.
+    # what a walk's fold and scans would hide: a table that holds
+    # tuples no pool test kept.
     expected = load_expected()
     prefixes = list(_prefix_pools(n))
     for (kernel, _), key, size in zip(SYMMETRIES, ("m_bar", "r_bar"), TABLE_SIZES[n]):
@@ -888,18 +939,23 @@ def test_failed_write_cancels_pending_prefixes(tmp_path, monkeypatch):
     assert len(started.read_text().split()) < total // 2
 
 
+_PREFIX_WORKER = enumeration._prefix_worker
+
+
+def _logged_prefix_task(log, task):
+    """Run one prefix task after appending its prefix index to ``log``.
+    Defined here, not in a test, so that a pool can pickle it."""
+    with open(log, "a") as handle:
+        handle.write(f"{task[0].shard.index}\n")
+    return _PREFIX_WORKER(task)
+
+
 def test_pool_hands_out_at_most_two_prefixes_per_job_ahead(tmp_path, monkeypatch):
-    # Each forked worker logs the prefix it starts; the parent writes
-    # slowly, and no prefix may start more than 2 * jobs ahead of the
-    # block being written.
-    real = enumeration._census_loop
+    # Each forked worker logs the prefix task it starts; the parent
+    # writes slowly, and no prefix may start more than 2 * jobs ahead of
+    # the block being written.
     started = tmp_path / "started.txt"
-
-    def logged(cfg, *args, **kwargs):
-        with open(started, "a") as handle:
-            handle.write(f"{cfg.shard.index}\n")
-        return real(cfg, *args, **kwargs)
-
+    logged = partial(_logged_prefix_task, started)
     ahead = []  # prefixes started past the one being written
 
     class SlowOut:
@@ -907,7 +963,7 @@ def test_pool_hands_out_at_most_two_prefixes_per_job_ahead(tmp_path, monkeypatch
             time.sleep(0.05)
             ahead.append(len(started.read_text().split()) - len(ahead))
 
-    monkeypatch.setattr(enumeration, "_census_loop", logged)
+    monkeypatch.setattr(enumeration, "_prefix_worker", logged)
     _run_shards(EnumConfig(3, INTERWEAVINGS), 2, "all", SlowOut())
     assert len(ahead) == 9  # one block per prefix
     assert sorted(map(int, started.read_text().split())) == list(range(9))
