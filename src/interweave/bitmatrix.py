@@ -26,6 +26,7 @@ Orders run from 1 to 32 so a row always fits one unsigned word.
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
+from operator import index
 from typing import Iterable, Iterator
 
 MAX_ORDER = 32
@@ -65,7 +66,7 @@ class BitMatrix:
     Construct from row words (``BitMatrix((2, 1, 4))``), from a 2-D
     grid of 0/1 cells (:meth:`from_bits`), or via the :meth:`zeros` /
     :meth:`identity` factories.  Row words out of ``[0, 2**n - 1]`` are
-    rejected, never masked.
+    rejected, never masked, and so are words that are not integers.
     """
 
     __slots__ = ("n", "rows")
@@ -80,6 +81,14 @@ class BitMatrix:
             raise ValueError(f"order must be in [1, {MAX_ORDER}], got {n}")
         limit = (1 << n) - 1
         for i, word in enumerate(rows):
+            # An int passes as it is; bool and NumPy integers convert.
+            if word.__class__ is not int:
+                try:
+                    word = index(word)
+                except TypeError:
+                    raise TypeError(
+                        f"row {i}: word {word!r} is not an integer"
+                    ) from None
             if not 0 <= word <= limit:
                 raise ValueError(
                     f"row {i}: word {word} outside [0, {limit}] for order {n}"

@@ -72,15 +72,17 @@ the kernel's cell cycles and dropped after it.  A walk runs the table's
 heads in order through the census's loop body, :func:`_scan`, each with
 its table entry as its last rows, so the fold and the scans keep
 exactly the symmetric classes, in lexicographic order, with nothing
-canonicalised and no set of seen classes kept.  The census walks both
-tables of each prefix: their class counts are its ``m_bar`` and
-``r_bar``, and their classes filed by head are the flags it hands on,
-which only the record stream looks up.  A ``mirror`` or ``rotation``
-listing walks its own table only.  At order 5 the walks scan 566 heads
-and examine the tables' 2 275 and 145 tuples for the 1 302 self-mirror
-and 74 rotation-stable classes of the 705 366; at order 6 they list the
-586 060 self-mirror and 902 rotation-stable classes in about a second,
-where the census takes minutes.
+canonicalised and no set of seen classes kept.  A walk is a run of its
+own, over one symmetry's tables, and a census composes two: its
+``m_bar`` and ``r_bar`` are the class counts of the mirror and the
+quarter-turn walk runs over its shard.  Only the record stream files
+the walks' classes by head, as its record flags, running both walks
+before its census.  A ``mirror`` or ``rotation`` listing is one walk
+run.  At order 5 the walks scan 566 heads and examine the tables' 2 275
+and 145 tuples for the 1 302 self-mirror and 74 rotation-stable classes
+of the 705 366; at order 6 they list the 586 060 self-mirror and 902
+rotation-stable classes in about a second, where the census takes
+minutes.
 
 The minimality scan doubles as a stabilizer count: the shift pairs
 whose image equals the matrix itself form its stabilizer, and the orbit
@@ -127,11 +129,11 @@ merge and a failed prefix take one path with or without a pool.
 
 The census loop, :func:`_census_loop`, hands on each head's classes at
 once: the head's row words, bitsets over the last row for the classes
-and the weavable ones, the few orbit sizes below n**2, and the prefix's
-flags.  A prefix task writes a head's lines from a template, the lines
-of its weavable bitset with a NUL where the head's words go, built once
-per bitset and task: at order 5 the 46 637 heads that list a class
-share 2 031 templates, at most 40 per prefix.  So the listing builds no
+and the weavable ones, and the few orbit sizes below n**2.  A prefix
+task writes a head's lines from a template, the lines of its weavable
+bitset with a NUL where the head's words go, built once per bitset and
+task: at order 5 the 46 637 heads that list a class share 2 031
+templates, at most 40 per prefix.  So the listing builds no
 ``BitMatrix`` and no ``ClassRecord``; only :func:`enumerate_classes`,
 the library's record stream, walks the bits and wraps each class in a
 record.
@@ -221,8 +223,9 @@ class CountReport:
     candidates, the weavability rejects and the classes, and
     ``rejected_minimality`` is what they leave, so a count that adds up
     heads without scanning them needs no count of its own for it.
-    ``m_bar`` and ``r_bar`` are the classes of the walks of each
-    prefix's symmetric tables, whose tuples are not candidates.
+    ``m_bar`` and ``r_bar`` are the class counts of the shard's two walk
+    runs, over its prefixes' mirror and quarter-turn tables, whose
+    tuples are not candidates.
     A listing under the ``mirror`` or ``rotation`` filter walks only
     that symmetry's tables, instead of the census, so its report counts
     the symmetric classes only: ``q_bar`` is the number listed and
@@ -441,21 +444,23 @@ def _loud_mids(start, allowed, pool, dead, n, weavable_mode):
 
 
 def _filer(found):
-    """An ``emit`` that files each head's weavable classes in ``found``."""
+    """An ``emit`` that files each head's weavable classes in ``found``,
+    ORed over the prefixes that share the head: at order 2 the head is
+    the first row alone."""
 
-    def emit(head, classes, weavable, *rest):
-        found[head] = weavable
+    def emit(head, classes, weavable, orbits):
+        found[head] = found.get(head, 0) | weavable
 
     return emit
 
 
-def _scan(n, weavable_mode, start, dead, anchored, mids, pools, emit, flags):
+def _scan(n, weavable_mode, start, dead, anchored, mids, pools, emit):
     """The census loop's one body, run over the heads ``start + mid`` of
     one prefix, each with its ``pool`` of last rows to try, in step.
     Returns ``(fitted, b_bar, q_bar, short)``: the tuples whose head's
     fold they complete, the classes, the weavable classes and how far
     the weavable classes' orbits fall short of n**2, summed.  Each head
-    with classes goes to ``emit`` (if given), with ``flags``.
+    with classes goes to ``emit`` (if given).
     """
     top = (1 << n) - 1
     rotl, least, anchors = _shift_tables(n)
@@ -503,7 +508,7 @@ def _scan(n, weavable_mode, start, dead, anchored, mids, pools, emit, flags):
                 if weavable >> w & 1:
                     short += nn - size
         if emit is not None and classes:
-            emit(head, classes, weavable, orbits, flags)
+            emit(head, classes, weavable, orbits)
     return fitted, b_bar, q_bar, short
 
 
@@ -514,34 +519,29 @@ def _census_loop(
     wanted: str = "all",
 ) -> CountReport:
     """The census of this shard's slice, handing the classes of each head
-    that has any to ``emit`` as ``(head, classes, weavable, orbits,
-    flags)``.
+    that has any to ``emit`` as ``(head, classes, weavable, orbits)``.
 
     ``head`` is the first n - 1 row words.  The next two are bitsets over
     the last row word w, bit w standing for the class whose canonical
     row-word tuple is ``head + (w,)``: the classes, and those among them
     that are weavable.  ``orbits`` maps the few classes whose orbit is
-    smaller than n**2 to their orbit size, by last row word.  ``flags``
-    is the prefix's pair of dicts from a head to the bitsets of its
-    self-mirror and of its rotation-stable classes, each holding only
-    the heads that have some.  Heads come in lexicographic order, so the
-    classes do, taking each head's bits in ascending order; none are
-    accumulated here.  In ``interweavings`` mode only weavable classes
-    are generated; in ``all`` mode every class is.  ``progress`` (if
-    given) receives the running candidate count after each (first,
-    second) row prefix.
+    smaller than n**2 to their orbit size, by last row word.  Heads come
+    in lexicographic order, so the classes do, taking each head's bits
+    in ascending order; none are accumulated here.  In ``interweavings``
+    mode only weavable classes are generated; in ``all`` mode every
+    class is.  ``progress`` (if given) receives the running candidate
+    count after each (first, second) row prefix.
 
-    ``wanted``, a list filter, picks the source of each prefix's heads,
-    and :func:`_scan` is the one body they all run through.  ``"mirror"``
-    and ``"rotation"`` walk the prefix's table of that symmetry, whose
-    rows all come from the pool: its heads in order, each with its entry
-    as its last rows.  Its weavable classes are then exactly the
-    symmetric classes of the prefix, and the report counts them (see
-    :class:`CountReport`); its ``flags`` are empty.  ``"all"`` is the
-    census: every head the row pool builds, each with the whole pool as
-    its last rows.  It first walks both of the prefix's tables: their
-    class counts are its ``m_bar`` and ``r_bar``, and their weavable
-    classes filed by head are its ``flags``.
+    ``wanted``, a list filter, picks the one source of each prefix's
+    heads, and :func:`_scan` is the one body they all run through.
+    ``"mirror"`` and ``"rotation"`` walk the prefix's table of that
+    symmetry, whose rows all come from the pool: its heads in order,
+    each with its entry as its last rows.  Its weavable classes are then
+    exactly the symmetric classes of the prefix, and the report counts
+    them (see :class:`CountReport`).  ``"all"`` is the census: every
+    head the row pool builds, each with the whole pool as its last rows.
+    Its ``m_bar`` and ``r_bar`` are the ``q_bar`` of the two walk runs
+    over the same shard, made once its own prefixes are done.
 
     A run with no ``emit``, a count, hands the census only the heads of
     a quiet prefix that :func:`_loud_mids` cannot add up by stem; its
@@ -550,9 +550,10 @@ def _census_loop(
     n = cfg.n
     weavable_mode = cfg.mode == INTERWEAVINGS
     index, total = cfg.shard
+    kernel = _KERNELS.get(wanted)
     candidates = rejected_weavability = 0
     # How far the weavable classes' orbits fall short of n**2, summed.
-    b_bar = q_bar = m_bar = r_bar = short = 0
+    b_bar = q_bar = short = 0
     started = time.perf_counter()
 
     # The prefixes are dealt round-robin to the shards.
@@ -564,24 +565,15 @@ def _census_loop(
             mids = itertools.product(allowed, repeat=n - 3)
             start, pool_bits = prefix, _bitset(allowed)
         dead, anchored = _anchor_masks(first, second, n)
-        scan_args = (n, weavable_mode, start, dead, anchored)
-        walks = {}  # each walked table's heads in order, and their entries
-        for name, kernel in _KERNELS.items():
-            if wanted in ("all", name):
-                table = _symmetric_table(n, kernel, first, second, pool_bits)
-                heads = sorted(head[len(start):] for head in table)
-                walks[name] = heads, [table[start + mid] for mid in heads]
-        flags = ({}, {})
         sums = (0, 0, 0)
-        if wanted == "all":
+        if kernel is not None:  # a walk: the table's heads in order
+            table = _symmetric_table(n, kernel, first, second, pool_bits)
+            mids = sorted(head[len(start):] for head in table)
+            pools = [table[start + mid] for mid in mids]
+            held = sum(map(int.bit_count, pools))
+        else:
             pools = itertools.repeat(pool_bits)
             held = len(allowed) ** (n - 2)  # the tuples below
-            # The walks' classes are the prefix's symmetric classes, and
-            # filed by head they are its flags.
-            symmetric = tuple(
-                _scan(*scan_args, *walk, _filer(found), ({}, {}))[2]
-                for walk, found in zip(walks.values(), flags)
-            )
             # A count adds up the quiet heads by stem when the prefix is
             # quiet: its first row aperiodic and nothing anchored.
             quiet = len(_shift_tables(n)[2][first]) == 1 and not anchored
@@ -589,23 +581,22 @@ def _census_loop(
                 sums, mids = _loud_mids(
                     start, allowed, pool_bits, dead, n, weavable_mode
                 )
-        else:
-            mids, pools = walks[wanted]
-            held = sum(map(int.bit_count, pools))
-        fitted, classes, weavable, missing = _scan(*scan_args, mids, pools, emit, flags)
-        if wanted != "all":  # the walk is the one symmetric count
-            symmetric = [weavable if name == wanted else 0 for name in _KERNELS]
+        fitted, classes, weavable, missing = _scan(
+            n, weavable_mode, start, dead, anchored, mids, pools, emit
+        )
         candidates += held
         # Every tuple is a weavability reject until its head fits it.
         rejected_weavability += held - fitted - sums[0] if weavable_mode else 0
         b_bar += classes + sums[1]
         q_bar += weavable + sums[2]
         short += missing
-        m_bar += symmetric[0]
-        r_bar += symmetric[1]
         if progress is not None:
             progress(candidates)
 
+    if kernel is None:  # the census's symmetric classes are its walks'
+        m_bar, r_bar = (_census_loop(cfg, wanted=name).q_bar for name in _KERNELS)
+    else:  # a walk counts its own symmetry only
+        m_bar, r_bar = (q_bar if name == wanted else 0 for name in _KERNELS)
     return CountReport(
         n=n,
         mode=cfg.mode,
@@ -631,8 +622,10 @@ def enumerate_classes(
     """Produce one ClassRecord per shift class of this shard's slice.
 
     Records reach ``sink`` in lexicographic order of their canonical
-    row tuples and are never accumulated here, so memory follows the
-    largest prefix's walked tables, not the class count.  In
+    row tuples and are never accumulated here.  The record flags are
+    read from the shard's symmetric heads, filed by two walk runs before
+    the census, so memory follows the shard's symmetric heads and the
+    largest prefix's tables, not the class count.  In
     ``interweavings`` mode only weavable classes are generated; in
     ``all`` mode every class is, and the weaving flags are filled per
     record.  ``progress`` (if given) receives the running candidate
@@ -641,8 +634,12 @@ def enumerate_classes(
     emit = None
     if sink is not None:
         nn = cfg.n * cfg.n
+        # The two walks file the shard's symmetric classes by head.
+        flags = ({}, {})
+        for name, found in zip(_KERNELS, flags):
+            _census_loop(cfg, _filer(found), wanted=name)
 
-        def emit(head, classes, weavable, orbits, flags):
+        def emit(head, classes, weavable, orbits):
             mirror, rotation = (found.get(head, 0) for found in flags)
             for w in _select(range(1 << cfg.n), classes):
                 bit = 1 << w

@@ -50,6 +50,16 @@ def test_row_word_out_of_range_rejected_not_masked(rows):
         BitMatrix(rows)
 
 
+@pytest.mark.parametrize("word", [1.5, 1.0, "1", None])
+def test_row_word_that_is_not_an_integer_rejected(word):
+    with pytest.raises(TypeError, match=r"^row 1: word .* is not an integer$"):
+        BitMatrix((1, word, 2))
+
+
+def test_bool_row_words_accepted():
+    assert BitMatrix((True, 2)) == BitMatrix((1, 2))
+
+
 def test_from_bits_rejects_ragged_and_nonbinary():
     with pytest.raises(ValueError):
         BitMatrix.from_bits([[0, 1], [1]])

@@ -580,6 +580,30 @@ def test_record_flags_equal_the_oracle(n, mode):
     assert flagged == dict(zip(flagged, SMALL_CENSUS[n][3:]))
 
 
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_only_the_record_stream_files_symmetric_classes(n, monkeypatch):
+    # A count and a listing read no record flags and file nothing; the
+    # record stream files each symmetry's classes in one walk run, over
+    # all of its shard's prefixes (at order 5 every tenth, to keep it
+    # quick).
+    real = enumeration._filer
+    built = []
+
+    def counted(found):
+        built.append(found)
+        return real(found)
+
+    monkeypatch.setattr(enumeration, "_filer", counted)
+    for mode in (INTERWEAVINGS, ALL):
+        built.clear()
+        cfg = EnumConfig(n, mode, shard=Shard(0, 10 if n == 5 else 1))
+        _run_shards(cfg)
+        _run_shards(cfg, wanted="all", out=io.StringIO())
+        assert not built, mode
+        enumerate_classes(cfg, lambda record: None)
+        assert len(built) == 2, mode
+
+
 # The tuples the interweaving prefixes' tables hold, summed over the
 # prefixes, per order: (mirror, quarter turn).  The order-6 mirror
 # tables hold 1 072 040.
