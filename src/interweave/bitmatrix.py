@@ -80,9 +80,11 @@ class BitMatrix:
         if not 1 <= n <= MAX_ORDER:
             raise ValueError(f"order must be in [1, {MAX_ORDER}], got {n}")
         limit = (1 << n) - 1
+        converted = False
         for i, word in enumerate(rows):
             # An int passes as it is; bool and NumPy integers convert.
             if word.__class__ is not int:
+                converted = True
                 try:
                     word = index(word)
                 except TypeError:
@@ -94,7 +96,9 @@ class BitMatrix:
                     f"row {i}: word {word} outside [0, {limit}] for order {n}"
                 )
         self.n = n
-        self.rows = rows
+        # Converted words are kept as ints, so results carry no bool or
+        # NumPy words and flags.
+        self.rows = tuple(map(index, rows)) if converted else rows
 
     @classmethod
     def _unchecked(cls, rows: tuple) -> "BitMatrix":

@@ -27,36 +27,39 @@ of row words is a bitset, an int with bit w standing for word w
 is filtered with one AND and counted with one popcount.  The head's OR
 and AND fix the bits a last row must set and clear, so the last rows
 that complete a weavable tuple are two table lookups ANDed with the
-prefix's row pool.  The minimality scan has two halves.  The head
-half, :func:`_head_scan`, compares each anchored image on the rows that
-involve head rows only: if one is already smaller, every last row of
-the head is rejected at once.  Otherwise each pair that still ties
+prefix's row pool.  The minimality scan has two halves, and the head
+half takes the same step one row earlier.  A head is a stem, its first
+n - 2 rows, and one row x, and the stem half, :func:`_stem_scan`,
+decides every x of a stem at once.  It compares each anchored image on
+the rows that involve stem rows only: if one is already smaller, every
+head of the stem is rejected.  Otherwise the pair's last head row puts
+a rotation of x against a stem row, so the x below it are one
+precomputed bitset and exactly one x ties on.  A pair that ties on x
 meets the last row in one row, where a rotation of the last row faces
 a head row: the last rows below it are one precomputed bitset, and the
 one word that ties is compared on alone, over rows that read head words
-and that word (:func:`_last_row_bits`).  The pairs anchored on the last
-row itself meet it at row 0, facing the first row, and are decided the
-same way; the prefix decides most of them for all its heads at once
-(:func:`_anchor_masks`).  At order 5 the census scans 54 933 heads
-when it lists and 26 843 when it counts (see below); in both the head
-half rejects 7 796 of them (127 666 of the 309 559 non-canonical
+and that word (:func:`_last_row_bits`).  The pairs anchored on x itself,
+when it is a rotation of the first row, tie at once; those anchored on
+the last row meet it at row 0, facing the first row, and are decided
+the same way, and the prefix decides most of them for all its heads at
+once (:func:`_anchor_masks`).  At order 5 the census decides 2 275
+stems and rejects 140 of them whole; the stem half rejects 7 796 heads
+with weavable last rows (127 666 of the 309 559 non-canonical
 candidates), and 15 801 heads need the last-row bitsets, which compare
 10 785 tie words on.
 
-A count adds up most heads without scanning them.  A shift image ties
-a generated tuple on its first row only through a row that is a
-rotation of the first row, or at another anchor of a periodic first
-row.  A prefix is quiet when its first row is aperiodic and its second
-is no rotation of it, so :func:`_anchor_masks` anchors nothing, and a
-head of it is quiet when none of its later rows is a rotation of the
-first either.  No pair ties a quiet head past the first row, so its
-classes are its last rows outside the prefix's ``dead`` set, each with
-orbit n**2, and its counts follow from the fold of its rows.  A run
-that emits nothing walks a quiet prefix by stem, a head without its
-last row: it sums the quiet heads of each stem fold once per prefix,
-and scans only the other heads (:func:`_loud_mids`).  At order 5,
-28 125 of the 55 125 heads are quiet; a full order-6 count takes about
-40% less time.
+A count adds up most heads without running them through the loop
+body.  A shift image ties a generated tuple on its first row only
+through a row that is a rotation of the first row, or at another anchor
+of a periodic first row.  So when the stem half leaves no pair tied on
+a stem, and :func:`_anchor_masks` anchors nothing, a head of that stem
+whose x is no rotation of the first row is quiet: no pair ties it past
+the first row, its classes are its last rows outside the prefix's
+``dead`` set, each with orbit n**2, and its counts follow from the fold
+of its rows.  A run that emits nothing sums the quiet heads of each
+stem fold once per prefix (:func:`_stem_sums`), and runs only the other
+heads through the body.  At order 5 a count sums 28 125 of the 55 125
+heads from 431 stem folds.
 
 The symmetric classes are found one way: by walking tables, not by
 testing each class.  A class is self-mirror (rotation-stable) exactly
@@ -69,20 +72,20 @@ prefix, mapping a head to the bitset of its fixed-point last rows
 (:func:`~interweave.tables._symmetric_table`): one table per symmetry
 and (first, second) prefix, built by the prefix's task from one walk of
 the kernel's cell cycles and dropped after it.  A walk runs the table's
-heads in order through the census's loop body, :func:`_scan`, each with
-its table entry as its last rows, so the fold and the scans keep
-exactly the symmetric classes, in lexicographic order, with nothing
-canonicalised and no set of seen classes kept.  A walk is a run of its
-own, over one symmetry's tables, and a census composes two: its
-``m_bar`` and ``r_bar`` are the class counts of the mirror and the
-quarter-turn walk runs over its shard.  Only the record stream files
-the walks' classes by head, as its record flags, running both walks
-before its census.  A ``mirror`` or ``rotation`` listing is one walk
-run.  At order 5 the walks scan 566 heads and examine the tables' 2 275
-and 145 tuples for the 1 302 self-mirror and 74 rotation-stable classes
-of the 705 366; at order 6 they list the 586 060 self-mirror and 902
-rotation-stable classes in about a second, where the census takes
-minutes.
+heads in order through the census's loop body, :func:`_scan`, grouped
+by stem, each with its table entry as its last rows, so the fold and
+the scans keep exactly the symmetric classes, in lexicographic order,
+with nothing canonicalised and no set of seen classes kept.  A walk is
+a run of its own, over one symmetry's tables, and a census composes
+two: its ``m_bar`` and ``r_bar`` are the class counts of the mirror and
+the quarter-turn walk runs over its shard.  Only the record stream
+files the walks' classes by head, as its record flags, running both
+walks before its census.  A ``mirror`` or ``rotation`` listing is one
+walk run.  At order 5 the walks decide 205 stems of 576 heads and
+examine the tables' 2 275 and 145 tuples for the 1 302 self-mirror and
+74 rotation-stable classes of the 705 366; at order 6 they list the
+586 060 self-mirror and 902 rotation-stable classes in about a second,
+where the census takes minutes.
 
 The minimality scan doubles as a stabilizer count: the shift pairs
 whose image equals the matrix itself form its stabilizer, and the orbit
@@ -150,7 +153,7 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import add, and_, or_
+from operator import and_, or_
 from typing import Callable, NamedTuple, Optional
 
 from .bitmatrix import BitMatrix
@@ -272,44 +275,58 @@ def _prefixes(n, mode):
     return tuple(prefixes)
 
 
-def _head_scan(head, rotl, least, anchors, n):
-    """The first half of the minimality scan of ``head + (w,)``, decided
-    from the head, the first n - 1 rows, for every last row w at once.
+def _stem_scan(stem, first, n):
+    """The head half of the minimality scan, decided once per stem for
+    every head ``stem + (x,)``: the stem is a head without its row n - 2,
+    x.  Returns ``(rejects, ties)``: the bitset of the rows x whose head
+    some shift image already lowers, -1 (every x) when one does on stem
+    rows alone, and per anchored pair (k, l) with k < n - 2 that ties on
+    the stem rows, ``(bits, (k, l, i0))``: the bitset of the rows x on
+    which it ties past the head, where rows 1 .. i0 - 1 of image (k, l)
+    are head rows and row i0 = n - 1 - k is the first one drawn from the
+    last row.  The pairs (n - 2, l) exist only when x is a rotation of
+    the first row, and tie at once; the body adds them per x.
 
-    None if some shift image is already lexicographically smaller on the
-    head rows alone; otherwise the anchored pairs (k, l) with k < n - 1
-    that still tie there, each as ``(k, l, i0)``: rows 1 .. i0 - 1 of
-    image (k, l) are head rows and equal the matrix's, and row
-    i0 = n - 1 - k is the first one drawn from the last row.
-
-    Exact only on the tuples the generator builds: rows[0] is a necklace
-    and every row's least rotation is at least rows[0].  Then the first
-    row of image (k, l), ``rotl[l][rows[k]]``, never falls below rows[0],
-    and it ties exactly when ``least[rows[k]] == rows[0]`` and l is an
-    anchor of rows[k].  Only those pairs are compared, word by word from
-    the second row on.
+    Exact only on the tuples the generator builds: the first row is a
+    necklace and every row's least rotation is at least the first.  Then
+    the first row of image (k, l), ``rotl[l][stem[k]]``, never falls below
+    the first row, and it ties exactly when ``least[stem[k]] == first``
+    and l is an anchor of ``stem[k]``.  Only those pairs are compared,
+    word by word from the second row on.  The last comparison of a pair
+    with k >= 1 puts ``rotl[l][x]`` against the stem row y = stem[i0 - 1]:
+    the x below are ``below[l][y]``, and the one word ``rotl[-l][y]``
+    ties.  A pair (0, l) compares x with its own rotation, so its rejects
+    and its ties are ``under[l]`` and ``fixed[l]``, as in
+    :func:`_last_row_bits`.
     """
-    r0 = head[0]
-    tied = []
-    for k in range(n - 1):
-        w = head[k]
-        if least[w] != r0:
+    rotl, least, anchors = _shift_tables(n)
+    below, under, fixed = _bit_tables(n)[2:]
+    rejects = 0
+    ties = []
+    for k, w in enumerate(stem):
+        if least[w] != first:
             continue
         i0 = n - 1 - k
         for l in anchors[w]:
             if not (k or l):
                 continue
             rl = rotl[l]
-            for i in range(1, i0):
-                v = rl[head[k + i]]
-                ri = head[i]
+            for i in range(1, i0 - 1):
+                v = rl[stem[k + i]]
+                ri = stem[i]
                 if v != ri:
                     if v < ri:
-                        return None
+                        return -1, []
                     break
             else:
-                tied.append((k, l, i0))
-    return tied
+                if k:
+                    y = stem[i0 - 1]
+                    rejects |= below[l][y]
+                    ties.append((1 << rotl[-l][y], (k, l, i0)))
+                else:
+                    rejects |= under[l]
+                    ties.append((fixed[l], (0, l, i0)))
+    return rejects, ties
 
 
 def _last_row_bits(head, tied, lasts, n):
@@ -319,7 +336,8 @@ def _last_row_bits(head, tied, lasts, n):
     among them whose stabilizer is above 1, by word.
 
     ``tied`` holds the pairs (k, l, i0) that tie on every row before
-    i0: the pairs :func:`_head_scan` leaves tied and those
+    i0: the pairs :func:`_stem_scan` leaves tied, the pairs (n - 2, l) of
+    a row n - 2 that is a rotation of the first row, and those
     :func:`_anchor_masks` anchors on the last row.  A pair with k >= 1
     meets the last row once, at row i0, where ``rotl[l][w]`` faces
     ``x = head[i0]``: the words below are rejected at once, and the one
@@ -389,58 +407,32 @@ def _anchor_masks(first, second, n):
     return dead, anchored
 
 
-def _loud_mids(start, allowed, pool, dead, n, weavable_mode):
-    """``(sums, mids)`` for the quiet prefix ``start``: the sums of its
-    quiet heads, their weavable tuples (interweavings mode only), classes
-    and weavable classes, and the rows after ``start`` of the heads a
-    count still scans.
+def _stem_sums(ored, anded, one_colour, quiet, dead, n, weavable_mode):
+    """``(fitted, b_bar, q_bar)`` summed over the heads ``stem + (x,)`` for
+    the ``(x, pool)`` in ``quiet``, of a stem with the fold ``ored`` and
+    ``anded`` (``one_colour`` when it holds a 0 or all-ones row) on which
+    no pair ties past the first row, nothing being anchored either, and
+    no x being a rotation of the first row.
 
-    The heads come stem by stem, a stem being a head without its last
-    row.  A head of a quiet prefix is quiet when none of its rows after
-    the first is a rotation of the first row.  No shift image ties it
-    past the first row, so its classes are its last rows outside
-    ``dead``, each with orbit n**2, and its weavable classes are those
-    among them that complete the fold of its rows.  They depend only on
-    the fold of the stem and on the head's last row, so each stem fold's
-    quiet heads are summed once, over the rows that are no rotation of
-    the first; the memo is dropped with the prefix.  A stem with a row
-    that is a rotation of the first scans all its heads, any other only
-    those whose last row is one.
+    No shift image ties such a head past the first row, so its classes
+    are its last rows outside ``dead``, each with orbit n**2, and its
+    weavable classes are those among them that complete the fold of its
+    rows.  They depend only on the stem's fold and on x, so a count sums
+    them once per stem fold and prefix.
     """
     top = (1 << n) - 1
-    least = _shift_tables(n)[1]
     covers, misses = _bit_tables(n)[:2]
-    first = start[0]
-    ends = pool & (1 << top) - 2  # the pool's two-colour words
-    quiet = [b for b in allowed if least[b] != first]
-    turns = [b for b in allowed if least[b] == first]  # the first row's rotations
-    memo = {}  # the stem's fold -> its quiet heads' sums
-    sums = (0, 0, 0)
-    scanned = []  # each stem with the last rows of its heads to scan
-    for stem in itertools.product(allowed, repeat=n - 4):
-        if any(least[w] == first for w in stem):
-            scanned.append((stem, allowed))
-            continue
-        scanned.append((stem, turns))
-        rows = start + stem
-        key = ored, anded, one_colour = (
-            reduce(or_, rows), reduce(and_, rows), top in rows
-        )
-        if key not in memo:
-            fits = [
-                0 if one_colour or b == top
-                else covers[top & ~(ored | b)] & misses[anded & b] & ends
-                for b in quiet
-            ]
-            kept = sum(map(int.bit_count, [f & ~dead for f in fits]))
-            # In all mode every quiet head's classes are pool & ~dead.
-            memo[key] = (
-                (sum(map(int.bit_count, fits)), kept, kept)
-                if weavable_mode
-                else (0, len(quiet) * (pool & ~dead).bit_count(), kept)
-            )
-        sums = tuple(map(add, sums, memo[key]))
-    return sums, (stem + (b,) for stem, lasts in scanned for b in lasts)
+    two_colour = (1 << top) - 2
+    fits = [
+        0 if one_colour or x == top
+        else covers[top & ~(ored | x)] & misses[anded & x] & pool & two_colour
+        for x, pool in quiet
+    ]
+    kept = sum(map(int.bit_count, [f & ~dead for f in fits]))
+    if weavable_mode:
+        return sum(map(int.bit_count, fits)), kept, kept
+    # In all mode every head's classes are its pool outside dead.
+    return 0, sum((pool & ~dead).bit_count() for _, pool in quiet), kept
 
 
 def _filer(found):
@@ -454,61 +446,87 @@ def _filer(found):
     return emit
 
 
-def _scan(n, weavable_mode, start, dead, anchored, mids, pools, emit):
-    """The census loop's one body, run over the heads ``start + mid`` of
-    one prefix, each with its ``pool`` of last rows to try, in step.
-    Returns ``(fitted, b_bar, q_bar, short)``: the tuples whose head's
-    fold they complete, the classes, the weavable classes and how far
-    the weavable classes' orbits fall short of n**2, summed.  Each head
-    with classes goes to ``emit`` (if given).
+def _scan(n, weavable_mode, first, dead, anchored, stems, emit, memo=None):
+    """The census loop's one body, run over the heads ``stem + (x,)`` of
+    one prefix with first row ``first``: the stems in order, each with
+    its ascending ``(x, pool)`` pairs, a row n - 2 and the last rows to
+    try after it.  Returns ``(fitted, b_bar, q_bar, short)``: the tuples
+    whose head's fold they complete, the classes, the weavable classes
+    and how far the weavable classes' orbits fall short of n**2, summed.
+    Each head with classes goes to ``emit`` (if given).
+
+    Each stem is decided once by :func:`_stem_scan`.  A count of the
+    census, whose stems all share one list of pairs, passes a ``memo``
+    dict: a stem on which no pair ties, of a prefix that anchors nothing,
+    then takes the sums of its heads whose x is no rotation of the first
+    row from the memo, by its fold (:func:`_stem_sums`), and runs the
+    body only over the others.
     """
     top = (1 << n) - 1
-    rotl, least, anchors = _shift_tables(n)
+    least, anchors = _shift_tables(n)[1:]
     covers, misses = _bit_tables(n)[:2]
     two_colour = (1 << top) - 2  # the words 1 .. top - 1
     nn = n * n
-    first = start[0]
-    # The fold of the head rows the prefix fixes.
-    start_or, start_and = first | start[-1], first & start[-1]
     fitted = b_bar = q_bar = short = 0
-    for mid, pool in zip(mids, pools):
-        head = start + mid
-        ored, anded = start_or, start_and
-        for w in mid:
-            ored |= w
-            anded &= w
-        # A last row w completes the fold when it sets every bit the
-        # head leaves clear and clears every bit it sets.  In
-        # interweavings mode the pool holds no 0 or all-ones word.
-        fits = covers[top & ~ored] & misses[anded] & pool
-        if weavable_mode:
-            lasts = fits
-            fitted += fits.bit_count()
-            if not lasts:
+    quiet = turns = None  # the pairs a memo sums, and the others
+    for stem, xs in stems:
+        rejects, ties = _stem_scan(stem, first, n)
+        stem_or, stem_and = reduce(or_, stem, 0), reduce(and_, stem, top)
+        # The fold rejects a 0 or all-ones row; every later row is at
+        # least the first, so only the first can be 0.
+        one_colour = not first or top in stem
+        if memo is not None and not (rejects or ties or anchored):
+            if quiet is None:
+                quiet = [(x, pool) for x, pool in xs if least[x] != first]
+                turns = [(x, pool) for x, pool in xs if least[x] == first]
+            key = stem_or, stem_and, one_colour
+            sums = memo.get(key)
+            if sums is None:
+                sums = memo[key] = _stem_sums(
+                    stem_or, stem_and, one_colour, quiet, dead, n, weavable_mode
+                )
+            fitted += sums[0]
+            b_bar += sums[1]
+            q_bar += sums[2]
+            xs = turns
+        for x, pool in xs:
+            ored = stem_or | x
+            anded = stem_and & x
+            # A last row w completes the fold when it sets every bit the
+            # head leaves clear and clears every bit it sets.  In
+            # interweavings mode the pool holds no 0 or all-ones word.
+            fits = covers[top & ~ored] & misses[anded] & pool
+            if weavable_mode:
+                lasts = fits
+                fitted += fits.bit_count()
+                if not lasts:
+                    continue
+            else:
+                lasts = pool
+                # So does a 0 or all-ones row n - 2 or last row.
+                fits = fits & two_colour if not one_colour and x != top else 0
+            if rejects >> x & 1:
                 continue
-        else:
-            lasts = pool
-            # The fold also rejects a 0 or all-ones row; every later
-            # row is >= first, so only the first can be 0.
-            fits = fits & two_colour if first and top not in head else 0
-        tied = _head_scan(head, rotl, least, anchors, n)
-        if tied is None:
-            continue
-        # With no pair tied past the head or anchored on the last row,
-        # no image ties past the second row: canonical, stabilizer 1.
-        classes = lasts & ~dead
-        orbits = {}
-        if tied or anchored:
-            classes, orbits = _last_row_bits(head, tied + anchored, classes, n)
-        b_bar += classes.bit_count()
-        weavable = classes & fits
-        if weavable:
-            q_bar += weavable.bit_count()
-            for w, size in orbits.items():
-                if weavable >> w & 1:
-                    short += nn - size
-        if emit is not None and classes:
-            emit(head, classes, weavable, orbits)
+            tied = [pair for bits, pair in ties if bits >> x & 1] if ties else []
+            if least[x] == first:  # pairs (n - 2, l) tie at once
+                tied += [(n - 2, l, 1) for l in anchors[x] if n > 2 or l]
+            # With no pair tied past the head or anchored on the last row,
+            # no image ties past the second row: canonical, stabilizer 1.
+            classes = lasts & ~dead
+            orbits = {}
+            if tied or anchored:
+                classes, orbits = _last_row_bits(
+                    stem + (x,), tied + anchored, classes, n
+                )
+            b_bar += classes.bit_count()
+            weavable = classes & fits
+            if weavable:
+                q_bar += weavable.bit_count()
+                for w, size in orbits.items():
+                    if weavable >> w & 1:
+                        short += nn - size
+            if emit is not None and classes:
+                emit(stem + (x,), classes, weavable, orbits)
     return fitted, b_bar, q_bar, short
 
 
@@ -543,9 +561,13 @@ def _census_loop(
     Its ``m_bar`` and ``r_bar`` are the ``q_bar`` of the two walk runs
     over the same shard, made once its own prefixes are done.
 
-    A run with no ``emit``, a count, hands the census only the heads of
-    a quiet prefix that :func:`_loud_mids` cannot add up by stem; its
-    counts are those of a run that scans every head.
+    Every source hands :func:`_scan` its heads by stem, a head without
+    its row n - 2: the census each stem the row pool builds with the
+    pool's words as its rows n - 2, a walk its table's heads grouped by
+    stem.  A run with no ``emit``, a count, gives the census a memo, so
+    that the quiet heads of each stem fold are summed once per prefix
+    (:func:`_stem_sums`); its counts are those of a run that scans every
+    head.
     """
     n = cfg.n
     weavable_mode = cfg.mode == INTERWEAVINGS
@@ -559,36 +581,34 @@ def _census_loop(
     # The prefixes are dealt round-robin to the shards.
     for prefix, allowed in _prefixes(n, cfg.mode)[index::total]:
         first, second = prefix
-        if n == 2:  # the prefix is the whole tuple
-            start, mids, pool_bits = prefix[:1], ((),), 1 << second
-        else:
-            mids = itertools.product(allowed, repeat=n - 3)
-            start, pool_bits = prefix, _bitset(allowed)
+        pool_bits = 1 << second if n == 2 else _bitset(allowed)
         dead, anchored = _anchor_masks(first, second, n)
-        sums = (0, 0, 0)
-        if kernel is not None:  # a walk: the table's heads in order
+        memo = None
+        if kernel is not None:  # a walk: the table's heads in order, by stem
             table = _symmetric_table(n, kernel, first, second, pool_bits)
-            mids = sorted(head[len(start):] for head in table)
-            pools = [table[start + mid] for mid in mids]
-            held = sum(map(int.bit_count, pools))
+            heads = itertools.groupby(sorted(table), lambda head: head[:-1])
+            stems = [
+                (stem, [(head[-1], table[head]) for head in group])
+                for stem, group in heads
+            ]
+            held = sum(map(int.bit_count, table.values()))
         else:
-            pools = itertools.repeat(pool_bits)
             held = len(allowed) ** (n - 2)  # the tuples below
-            # A count adds up the quiet heads by stem when the prefix is
-            # quiet: its first row aperiodic and nothing anchored.
-            quiet = len(_shift_tables(n)[2][first]) == 1 and not anchored
-            if emit is None and n > 3 and quiet:
-                sums, mids = _loud_mids(
-                    start, allowed, pool_bits, dead, n, weavable_mode
-                )
+            # Below order 4 the prefix holds the stem and row n - 2 too.
+            rows = allowed if n > 3 else prefix[n - 2 : n - 1]
+            xs = [(x, pool_bits) for x in rows]
+            mids = itertools.product(allowed, repeat=max(n - 4, 0))
+            stems = ((prefix[: n - 2] + mid, xs) for mid in mids)
+            if emit is None:  # a count sums the quiet heads by stem fold
+                memo = {}
         fitted, classes, weavable, missing = _scan(
-            n, weavable_mode, start, dead, anchored, mids, pools, emit
+            n, weavable_mode, first, dead, anchored, stems, emit, memo
         )
         candidates += held
         # Every tuple is a weavability reject until its head fits it.
-        rejected_weavability += held - fitted - sums[0] if weavable_mode else 0
-        b_bar += classes + sums[1]
-        q_bar += weavable + sums[2]
+        rejected_weavability += held - fitted if weavable_mode else 0
+        b_bar += classes
+        q_bar += weavable
         short += missing
         if progress is not None:
             progress(candidates)

@@ -141,12 +141,19 @@ def _symmetric_table(n, kernel, first, second, pool):
         tops = _cycles(n, kernel, k, l)
         # The cycles rows 0 and 1 set, those that meet them on set bits
         # only.  A cycle that meets them on set and clear bits is left
-        # out, and so is a set bit of the prefix.
-        met = (c for c in tops[0] + tops[1] if not c[0] & ~first | c[1] & ~second)
-        base = tuple(map(sum, zip((0,) * n, *met)))
-        if base[:2] != (first, second):
+        # out, and so is a set bit of the prefix.  Most shifts miss the
+        # prefix, and rows 0 and 1 of the set cycles tell, before the
+        # cycles' later rows are summed.
+        cycles = tops[0] + tops[1]
+        ones = twos = 0
+        for c in cycles:
+            if not c[0] & ~first | c[1] & ~second:
+                ones += c[0]
+                twos += c[1]
+        if (ones, twos) != (first, second):
             continue
-        points = [base]
+        met = [c for c in cycles if not c[0] & ~first | c[1] & ~second]
+        points = [tuple(map(sum, zip((0,) * n, *met)))]
         for i in range(2, n - 1):
             for c in tops[i]:
                 points += [tuple(map(add, w, c)) for w in points]

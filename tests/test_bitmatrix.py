@@ -13,7 +13,7 @@ from conftest import (
     matrix_pairs,
     matrix_triples,
 )
-from interweave import BitMatrix
+from interweave import BitMatrix, classify
 
 
 # -- construction -------------------------------------------------------------
@@ -58,6 +58,29 @@ def test_row_word_that_is_not_an_integer_rejected(word):
 
 def test_bool_row_words_accepted():
     assert BitMatrix((True, 2)) == BitMatrix((1, 2))
+
+
+class _Word:
+    """An integer-like row word that is not an int, as NumPy's are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_converted_row_words_are_stored_as_ints():
+    # Results of a matrix built from integer-like words carry plain ints
+    # and bools, not the words' own types.
+    a = BitMatrix((_Word(3), _Word(1), True))
+    assert a.rows == (3, 1, 1)
+    assert all(type(w) is int for w in a.rows)
+    record = classify(a)
+    assert all(type(w) is int for w in record.canonical.rows)
+    flags = (record.is_interweaving, record.self_mirror, record.rotation_stable)
+    assert all(type(flag) is bool for flag in flags)
+    assert type(record.orbit_size) is int
 
 
 def test_from_bits_rejects_ragged_and_nonbinary():

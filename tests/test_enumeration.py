@@ -8,11 +8,11 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from functools import partial, reduce
+from operator import and_, or_
 
 import pytest
 
@@ -42,16 +42,18 @@ from interweave.enumeration import (
     MODES,
     _anchor_masks,
     _census_loop,
-    _head_scan,
     _last_row_bits,
     _PrefixError,
     _prefixes,
     _run_shards,
+    _scan,
+    _stem_scan,
 )
 from interweave.tables import (
     _bit_tables,
     _bitset,
     _cycles,
+    _select,
     _shift_tables,
     _symmetric_table,
 )
@@ -215,75 +217,98 @@ def test_anchors_are_the_rotations_onto_the_least(n):
         assert anchors[w] and set(anchors[w]) == expected
 
 
+def _census_stems(first, second, later, n):
+    """The stems of the prefix (first, second) as the census loop walks
+    them, each with its ``(x, pool)`` pairs: every row n - 2 from
+    ``later`` and the bitset of ``later`` as its last rows.  Below order 4
+    the prefix holds the stem and row n - 2, and at order 2 the second
+    row is the last row itself."""
+    if n == 2:
+        return [((), [(first, 1 << second)])]
+    pool = _bitset(later)
+    if n == 3:
+        return [((first,), [(second, pool)])]
+    xs = [(x, pool) for x in later]
+    mids = itertools.product(later, repeat=n - 4)
+    return [((first, second) + mid, xs) for mid in mids]
+
+
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_last_row_bits_on_every_generated_shape(n):
     # Every tuple the generator could build, over the full word range,
-    # decided per head as the census loop decides it: the head half
-    # from the first n - 1 rows alone, then the prefix's anchor masks,
-    # and the last-row bitsets wherever a pair still ties.
-    rotl, least, anchors = _shift_tables(n)
+    # decided per stem as the census loop decides it: the stem scan for
+    # every row n - 2 at once, then per head the prefix's anchor masks
+    # and the last-row bitsets wherever a pair still ties.  The body runs
+    # in all mode, so every head with a class is handed on.
+    least = _shift_tables(n)[1]
     words = range(1 << n)
-    seen = {"head": 0, "rejected": 0, "stabilized": 0}
+    seen = {"stem": 0, "row": 0, "rejected": 0, "stabilized": 0}
     for first in words:
         if least[first] != first:
             continue
         later = [w for w in words if least[w] >= first]
         for second in later:
             dead, anchored = _anchor_masks(first, second, n)
-            if n == 2:  # the prefix is the whole tuple
-                shapes = [((first,), [second])]
-            else:
-                mids = itertools.product(later, repeat=n - 3)
-                shapes = [((first, second) + mid, later) for mid in mids]
-            for head, pool in shapes:
-                tied = _head_scan(head, rotl, least, anchors, n)
-                if tied is None:
-                    seen["head"] += 1
-                    for w in pool:
+            for stem, xs in _census_stems(first, second, later, n):
+                rejects = _stem_scan(stem, first, n)[0]
+                seen["stem"] += rejects == -1
+                seen["row"] += sum(rejects >> x & 1 for x, _ in xs)
+                found = {}
+
+                def emit(head, classes, weavable, orbits):
+                    found[head] = classes, orbits
+
+                _scan(n, False, first, dead, anchored, [(stem, xs)], emit)
+                for x, pool in xs:
+                    head = stem + (x,)
+                    classes, orbits = found.get(head, (0, {}))
+                    if rejects >> x & 1:
+                        assert head not in found, head
+                    for w in _select(words, pool):
                         grid = oracle.words_to_grid(head + (w,), n)
-                        assert min(oracle.images(grid)) != grid, head + (w,)
-                    continue
-                classes = sum(1 << w for w in pool) & ~dead
-                orbits = {}
-                if tied or anchored:
-                    classes, orbits = _last_row_bits(head, tied + anchored, classes, n)
-                for w in pool:
-                    grid = oracle.words_to_grid(head + (w,), n)
-                    images = oracle.images(grid)
-                    if classes >> w & 1:
-                        assert min(images) == grid, head + (w,)
-                        assert orbits.get(w, n * n) == len(images), head + (w,)
-                        seen["stabilized"] += len(images) < n * n
-                    else:
-                        assert min(images) != grid, head + (w,)
-                        seen["rejected"] += 1
-                assert all(classes >> w & 1 for w in orbits), head
+                        images = oracle.images(grid)
+                        if classes >> w & 1:
+                            assert min(images) == grid, head + (w,)
+                            assert orbits.get(w, n * n) == len(images), head + (w,)
+                            seen["stabilized"] += len(images) < n * n
+                        else:
+                            assert min(images) != grid, head + (w,)
+                            seen["rejected"] += 1
+                    assert all(classes >> w & 1 for w in orbits), head
     assert seen["rejected"] and seen["stabilized"], seen
-    assert (seen["head"] > 0) == (n > 2)  # order 2 has no head pair to compare
+    # Order 2 has no head pair to compare, and order 3 none on stem rows.
+    assert (seen["row"] > 0) == (n > 2), seen
+    assert (seen["stem"] > 0) == (n > 3), seen
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_scan_halves_on_every_generated_shape(n):
     # Every tuple the generator could build, over the full word range,
-    # one tuple at a time: the head half decides from the first n - 1
-    # rows alone, and the last-row half, given the one-word bitset of
-    # the tuple's last row, resumes the pairs it leaves tied.
-    rotl, least, anchors = _shift_tables(n)
+    # one tuple at a time: the stem scan decides from the first n - 2
+    # rows alone, for every row n - 2, and the last-row half, given the
+    # one-word bitset of the tuple's last row, resumes the pairs that tie
+    # on the tuple's row n - 2, with the pairs (n - 2, l) of a row n - 2
+    # that is a rotation of the first row.
+    _, least, anchors = _shift_tables(n)
     words = range(1 << n)
-    decided = {"head": 0, "last row": 0}
+    decided = {"stem": 0, "last row": 0}
     for first in words:
         if least[first] != first:
             continue
         later = [w for w in words if least[w] >= first]
         for mid in itertools.product(later, repeat=n - 2):
             head = (first,) + mid
-            tied = _head_scan(head, rotl, least, anchors, n)
+            stem, x = head[:-1], head[-1]
+            rejects, ties = _stem_scan(stem, first, n)
+            tied = [pair for bits, pair in ties if bits >> x & 1]
+            if least[x] == first:
+                tied += [(n - 2, l, 1) for l in anchors[x] if n > 2 or l]
             for w in later:
                 rows = head + (w,)
                 grid = oracle.words_to_grid(rows, n)
                 images = oracle.images(grid)
-                if tied is None:
-                    decided["head"] += 1
+                if rejects >> x & 1:
+                    decided["stem"] += 1
                     assert min(images) != grid, rows
                     continue
                 dead, anchored = _anchor_masks(first, rows[1], n)
@@ -296,35 +321,33 @@ def test_scan_halves_on_every_generated_shape(n):
                     assert classes == 1 << w, rows
                     assert orbits.get(w, n * n) == len(images), rows
     assert decided["last row"] > 0
-    assert (decided["head"] > 0) == (n > 2)  # order 2 has no head pair to compare
+    assert (decided["stem"] > 0) == (n > 2)  # order 2 has no head pair to compare
 
 
 def test_order5_sends_few_heads_to_the_last_row_bits(monkeypatch):
-    # The prefix's dead anchors leave most heads that pass the head half
-    # with no pair to decide on the last row: the order-5 census scans
-    # 54 933 heads and decides the last rows of 15 801 of them pair by
-    # pair.  A count adds up by stem the 28 090 quiet heads that have
-    # weavable last rows, so its census scans 26 843, and the same
-    # 15 801 need the bitsets.  Every run also walks the symmetric
-    # tables, which scan 566 heads and send 216 to the bitsets.
-    real_head, real_bits = enumeration._head_scan, enumeration._last_row_bits
-    calls = {"head": 0, "bits": 0}
+    # The prefix's dead anchors leave most heads that pass the stem scan
+    # with no pair to decide on the last row: the order-5 census and its
+    # walks of the symmetric tables decide 2 480 stems, once each, and
+    # the last rows of 16 017 heads pair by pair, whether the run lists
+    # or counts.
+    real_stem, real_bits = enumeration._stem_scan, enumeration._last_row_bits
+    calls = {"stem": 0, "bits": 0}
 
-    def head_scan(*args):
-        calls["head"] += 1
-        return real_head(*args)
+    def stem_scan(*args):
+        calls["stem"] += 1
+        return real_stem(*args)
 
     def last_row_bits(*args):
         calls["bits"] += 1
         return real_bits(*args)
 
-    monkeypatch.setattr(enumeration, "_head_scan", head_scan)
+    monkeypatch.setattr(enumeration, "_stem_scan", stem_scan)
     monkeypatch.setattr(enumeration, "_last_row_bits", last_row_bits)
-    for emit, heads in ((None, 27409), (lambda *a: None, 55499)):
-        calls.update(head=0, bits=0)
+    for emit in (None, lambda *a: None):
+        calls.update(stem=0, bits=0)
         report = _census_loop(EnumConfig(5), emit)
         assert (report.q_bar, report.rejected_minimality) == (705366, 309559)
-        assert calls == {"head": heads, "bits": 16017}
+        assert calls == {"stem": 2480, "bits": 16017}
 
 
 def test_order6_prefixes_match_brute_force():
@@ -364,27 +387,32 @@ def test_order6_prefixes_match_brute_force():
     assert classes > 0
 
 
-def test_head_scan_decides_order5_rejects_once_per_head(monkeypatch):
+def test_stem_scan_decides_order5_rejects_once_per_stem(monkeypatch):
     # A head whose shift image is already smaller rejects all of its
-    # weavable last rows at once; at order 5 that is 127 666 of the
-    # 309 559 minimality rejects.  A count's walks of the symmetric
-    # tables reject heads too, and their weavable rows from the pool add
-    # 1 016: the walks alone decide exactly that many.
-    real = enumeration._head_scan
+    # weavable last rows at once, and the stem scan rejects such heads
+    # for every row n - 2 of their stem at once; at order 5 that is
+    # 127 666 of the 309 559 minimality rejects.  A count's walks of the
+    # symmetric tables reject heads too, and their weavable rows from the
+    # pool add 1 016: the walks alone decide exactly that many.
+    real = enumeration._scan
+    least = _shift_tables(5)[1]
     decided = 0
 
-    def counted(head, rotl, least, anchors, n):
+    def counted(n, weavable_mode, first, dead, anchored, stems, *rest):
         nonlocal decided
-        tied = real(head, rotl, least, anchors, n)
-        if tied is None:
+        stems = list(stems)
+        for stem, xs in stems:
+            rejects = _stem_scan(stem, first, n)[0]
             decided += sum(
-                is_weavable(BitMatrix(head + (w,)))
-                for w in range(head[0], 1 << n)
-                if least[w] >= head[0]
+                is_weavable(BitMatrix(stem + (x, w)))
+                for x, _ in xs
+                if rejects >> x & 1
+                for w in range(first, 1 << n)
+                if least[w] >= first
             )
-        return tied
+        return real(n, weavable_mode, first, dead, anchored, stems, *rest)
 
-    monkeypatch.setattr(enumeration, "_head_scan", counted)
+    monkeypatch.setattr(enumeration, "_scan", counted)
     report = enumerate_classes(EnumConfig(5))
     assert report.q_bar == 705366
     assert report.rejected_minimality == 309559
@@ -434,47 +462,59 @@ def test_count_of_quiet_order6_prefixes_equals_their_scans():
         _assert_count_equals_scans(replace(cfg, shard=Shard(p, len(prefixes))))
 
 
-# Heads a count scans, and the quiet ones among them, per order and mode:
-# all of the quiet ones are heads of the symmetric tables' walks.
-COUNT_SCANS = {
-    (4, INTERWEAVINGS): (353, 22),
-    (5, INTERWEAVINGS): (27409, 261),
-    (4, ALL): (761, 36),
-    (5, ALL): (63525, 492),
+# Stem folds a count sums, over its prefixes, per order and mode.
+STEM_SUMS = {
+    (4, INTERWEAVINGS): 18,
+    (5, INTERWEAVINGS): 431,
+    (4, ALL): 24,
+    (5, ALL): 569,
 }
 
 
 @pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
-def test_count_never_scans_a_quiet_head(monkeypatch, mode):
-    # A count adds the quiet heads up by stem and its census scans only
-    # the others; a run that emits scans them all.  Each run also walks
-    # the prefixes' symmetric tables, whose heads may be quiet: taking
-    # away exactly what the two walks scan leaves the census's heads.
-    real = enumeration._head_scan
-    scanned = []
+def test_count_sums_quiet_heads_by_stem_fold(monkeypatch, mode):
+    # A count sums the heads of a stem on which no pair ties, of a prefix
+    # that anchors nothing, whose row n - 2 is no rotation of the first
+    # row, once per stem fold and prefix; a run that emits and a walk run
+    # every head through the body.  The sums are the body's own.
+    real = enumeration._stem_sums
+    folds = []
 
-    def head_scan(head, *args):
-        scanned.append(head)
-        return real(head, *args)
+    def stem_sums(*args):
+        folds.append(args[:3])
+        return real(*args)
 
-    monkeypatch.setattr(enumeration, "_head_scan", head_scan)
+    monkeypatch.setattr(enumeration, "_stem_sums", stem_sums)
+    weavable_mode = mode == INTERWEAVINGS
     for n in (4, 5):
-        scanned.clear()
+        cfg = EnumConfig(n, mode)
+        _census_loop(cfg, lambda *a: None)
         for wanted in ("mirror", "rotation"):
-            _census_loop(EnumConfig(n, mode), wanted=wanted)
-        walked = Counter(scanned)
-        assert any(_is_quiet(head, n) for head in walked)
-        scanned.clear()
-        enumerate_classes(EnumConfig(n, mode))
-        quiet = sum(_is_quiet(head, n) for head in scanned)
-        assert (len(scanned), quiet) == COUNT_SCANS[n, mode]
-        census = Counter(scanned) - walked
-        assert walked <= Counter(scanned) and census
-        assert not any(_is_quiet(head, n) for head in census)
-        scanned.clear()
-        _census_loop(EnumConfig(n, mode), lambda *a: None)
-        assert walked <= Counter(scanned)
-        assert any(_is_quiet(head, n) for head in Counter(scanned) - walked)
+            _census_loop(cfg, wanted=wanted)
+        assert not folds
+        prefixes = _prefixes(n, mode)
+        summed = 0
+        for p, ((first, second), later) in enumerate(prefixes):
+            _census_loop(replace(cfg, shard=Shard(p, len(prefixes))))
+            assert len(set(folds)) == len(folds), (n, p)
+            summed += len(folds)
+            folds.clear()
+            dead, anchored = _anchor_masks(first, second, n)
+            if anchored:
+                continue
+            least = _shift_tables(n)[1]
+            for stem, xs in _census_stems(first, second, later, n):
+                if _stem_scan(stem, first, n) != (0, []):
+                    continue
+                quiet = [(x, pool) for x, pool in xs if least[x] != first]
+                top = (1 << n) - 1
+                ored, anded = reduce(or_, stem), reduce(and_, stem)
+                sums = real(
+                    ored, anded, not first or top in stem, quiet, dead, n, weavable_mode
+                )
+                body = _scan(n, weavable_mode, first, dead, [], [(stem, quiet)], None)
+                assert sums + (0,) == body, stem
+        assert summed == STEM_SUMS[n, mode]
 
 
 @pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
@@ -938,31 +978,6 @@ def test_failed_shard_raises_and_leaves_no_temp_files(tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
-def test_failed_write_cancels_pending_prefixes(tmp_path, monkeypatch):
-    # Each forked worker logs the prefix it starts; the parent's first
-    # write fails, and the prefixes still queued must never start.
-    real = enumeration._census_loop
-    started = tmp_path / "started.txt"
-
-    def logged(cfg, *args, **kwargs):
-        with open(started, "a") as handle:
-            handle.write(f"{cfg.shard.index}\n")
-        time.sleep(0.1)
-        return real(cfg, *args, **kwargs)
-
-    class BrokenOut:
-        def write(self, text):
-            raise BrokenPipeError("reader went away")
-
-    cfg = EnumConfig(4, INTERWEAVINGS)
-    total = len(_prefixes(4, INTERWEAVINGS))
-    assert total == 34
-    monkeypatch.setattr(enumeration, "_census_loop", logged)
-    with pytest.raises(BrokenPipeError):
-        _run_shards(cfg, 2, "all", BrokenOut())
-    assert len(started.read_text().split()) < total // 2
-
-
 _PREFIX_WORKER = enumeration._prefix_worker
 
 
@@ -972,6 +987,26 @@ def _logged_prefix_task(log, task):
     with open(log, "a") as handle:
         handle.write(f"{task[0].shard.index}\n")
     return _PREFIX_WORKER(task)
+
+
+def test_failed_write_cancels_pending_prefixes(tmp_path, monkeypatch):
+    # Each forked worker logs the prefix task it starts; the parent's
+    # first write fails, and the prefixes still queued must never start.
+    started = tmp_path / "started.txt"
+
+    class BrokenOut:
+        def write(self, text):
+            raise BrokenPipeError("reader went away")
+
+    cfg = EnumConfig(4, INTERWEAVINGS)
+    total = len(_prefixes(4, INTERWEAVINGS))
+    assert total == 34
+    monkeypatch.setattr(
+        enumeration, "_prefix_worker", partial(_logged_prefix_task, started)
+    )
+    with pytest.raises(BrokenPipeError):
+        _run_shards(cfg, 2, "all", BrokenOut())
+    assert len(started.read_text().split()) < total // 2
 
 
 def test_pool_hands_out_at_most_two_prefixes_per_job_ahead(tmp_path, monkeypatch):
