@@ -27,39 +27,36 @@ of row words is a bitset, an int with bit w standing for word w
 is filtered with one AND and counted with one popcount.  The head's OR
 and AND fix the bits a last row must set and clear, so the last rows
 that complete a weavable tuple are two table lookups ANDed with the
-prefix's row pool.  The minimality scan has two halves, and the head
-half takes the same step one row earlier.  A head is a stem, its first
-n - 2 rows, and one row x, and the stem half, :func:`_stem_scan`,
-decides every x of a stem at once.  It compares each anchored image on
-the rows that involve stem rows only: if one is already smaller, every
-head of the stem is rejected.  Otherwise the pair's last head row puts
-a rotation of x against a stem row, so the x below it are one
-precomputed bitset and exactly one x ties on.  A pair that ties on x
-meets the last row in one row, where a rotation of the last row faces
-a head row: the last rows below it are one precomputed bitset, and the
-one word that ties is compared on alone, over rows that read head words
-and that word (:func:`_last_row_bits`).  The pairs anchored on x itself,
-when it is a rotation of the first row, tie at once; those anchored on
-the last row meet it at row 0, facing the first row, and are decided
-the same way, and the prefix decides most of them for all its heads at
-once (:func:`_anchor_masks`).  At order 5 the census decides 2 275
-stems and rejects 140 of them whole; the stem half rejects 7 796 heads
-with weavable last rows (127 666 of the 309 559 non-canonical
-candidates), and 15 801 heads need the last-row bitsets, which compare
-10 785 tie words on.
+prefix's row pool.  The minimality scan takes the same step two rows
+earlier.  A head is a stem, its first n - 2 rows, and one row x, and
+:func:`_stem_scan` decides the tuples of a stem at once, every x and
+every last row.  It compares each anchored image on the rows that
+involve stem rows only: if one is already smaller, every head of the
+stem is rejected.  Otherwise the pair's last head row puts a rotation
+of x against a stem row, so the x below it are one precomputed bitset
+and exactly one x ties on.  A pair that ties on x meets the last row in
+one row, where a rotation of the last row faces a head row: the last
+rows below it are one precomputed bitset, and the one word that ties
+is compared on alone, over rows that read only the stem, x and that
+word.  The pairs anchored on x itself, when it is a rotation of the
+first row, and those anchored on the last row are decided the same
+way, and the prefix decides what it can of them for all its stems at
+once (:func:`_prefix_pairs`).  So a stem hands each head its last-row
+rejects and ties as bitsets, and no head runs a scan of its own.  At
+order 5 the census decides 2 275 stems and rejects 140 of them whole;
+the stems reject 7 796 heads with weavable last rows (127 666 of the
+309 559 non-canonical candidates) and decide 9 650 more past the stem.
 
 A count adds up most heads without running them through the loop
-body.  A shift image ties a generated tuple on its first row only
-through a row that is a rotation of the first row, or at another anchor
-of a periodic first row.  So when the stem half leaves no pair tied on
-a stem, and :func:`_anchor_masks` anchors nothing, a head of that stem
-whose x is no rotation of the first row is quiet: no pair ties it past
-the first row, its classes are its last rows outside the prefix's
-``dead`` set, each with orbit n**2, and its counts follow from the fold
-of its rows.  A run that emits nothing sums the quiet heads of each
-stem fold once per prefix (:func:`_stem_sums`), and runs only the other
-heads through the body.  At order 5 a count sums 28 125 of the 55 125
-heads from 431 stem folds.
+body.  A head that its stem neither rejects nor decides past the stem
+is quiet: no pair ties it past the stem, its classes are its last rows
+outside the stem's dead set, each with orbit n**2, and its counts
+follow from the fold of its rows.  A run that emits nothing sums every
+x of a stem once per stem fold, dead set and prefix
+(:func:`_stem_sums`), takes off the x the stem rejects or decides, and
+runs only the x it decides through the body; a stem rejected whole
+adds only its fitting rows.  At order 5 a count sums 37 679 of the
+55 125 heads from 736 stem folds and runs 9 650 through the body.
 
 The symmetric classes are found one way: by walking tables, not by
 testing each class.  A class is self-mirror (rotation-stable) exactly
@@ -148,7 +145,7 @@ import io
 import itertools
 import os
 import time
-from collections import deque
+from collections import Counter, deque
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -275,164 +272,166 @@ def _prefixes(n, mode):
     return tuple(prefixes)
 
 
-def _stem_scan(stem, first, n):
-    """The head half of the minimality scan, decided once per stem for
-    every head ``stem + (x,)``: the stem is a head without its row n - 2,
-    x.  Returns ``(rejects, ties)``: the bitset of the rows x whose head
-    some shift image already lowers, -1 (every x) when one does on stem
-    rows alone, and per anchored pair (k, l) with k < n - 2 that ties on
-    the stem rows, ``(bits, (k, l, i0))``: the bitset of the rows x on
-    which it ties past the head, where rows 1 .. i0 - 1 of image (k, l)
-    are head rows and row i0 = n - 1 - k is the first one drawn from the
-    last row.  The pairs (n - 2, l) exist only when x is a rotation of
-    the first row, and tie at once; the body adds them per x.
-
-    Exact only on the tuples the generator builds: the first row is a
-    necklace and every row's least rotation is at least the first.  Then
-    the first row of image (k, l), ``rotl[l][stem[k]]``, never falls below
-    the first row, and it ties exactly when ``least[stem[k]] == first``
-    and l is an anchor of ``stem[k]``.  Only those pairs are compared,
-    word by word from the second row on.  The last comparison of a pair
-    with k >= 1 puts ``rotl[l][x]`` against the stem row y = stem[i0 - 1]:
-    the x below are ``below[l][y]``, and the one word ``rotl[-l][y]``
-    ties.  A pair (0, l) compares x with its own rotation, so its rejects
-    and its ties are ``under[l]`` and ``fixed[l]``, as in
-    :func:`_last_row_bits`.
-    """
-    rotl, least, anchors = _shift_tables(n)
-    below, under, fixed = _bit_tables(n)[2:]
-    rejects = 0
-    ties = []
-    for k, w in enumerate(stem):
-        if least[w] != first:
-            continue
-        i0 = n - 1 - k
-        for l in anchors[w]:
-            if not (k or l):
-                continue
-            rl = rotl[l]
-            for i in range(1, i0 - 1):
-                v = rl[stem[k + i]]
-                ri = stem[i]
-                if v != ri:
-                    if v < ri:
-                        return -1, []
-                    break
-            else:
-                if k:
-                    y = stem[i0 - 1]
-                    rejects |= below[l][y]
-                    ties.append((1 << rotl[-l][y], (k, l, i0)))
-                else:
-                    rejects |= under[l]
-                    ties.append((fixed[l], (0, l, i0)))
-    return rejects, ties
-
-
-def _last_row_bits(head, tied, lasts, n):
-    """The last-row half of the minimality scan for every last row in the
-    bitset ``lasts`` at once: ``(classes, orbits)``, the bitset of the
-    words w with ``head + (w,)`` canonical and the orbit sizes of those
-    among them whose stabilizer is above 1, by word.
-
-    ``tied`` holds the pairs (k, l, i0) that tie on every row before
-    i0: the pairs :func:`_stem_scan` leaves tied, the pairs (n - 2, l) of
-    a row n - 2 that is a rotation of the first row, and those
-    :func:`_anchor_masks` anchors on the last row.  A pair with k >= 1
-    meets the last row once, at row i0, where ``rotl[l][w]`` faces
-    ``x = head[i0]``: the words below are rejected at once, and the one
-    word ``rotl[-l][x]`` ties.  Its later rows read head words only, and
-    the tie word itself at row n - 1, so that word alone is compared on:
-    rejected, fixed by one more pair, or left.  A pair (0, l) compares
-    the last row with its own rotation, so its rejects and its ties are
-    fixed sets per l.
-    """
-    rotl = _shift_tables(n)[0]
-    below, under, fixed = _bit_tables(n)[2:]
-    rejects = 0
-    ties = []  # bitsets of the words one more shift pair fixes
-    for k, l, i0 in tied:
-        if not k:
-            rejects |= under[l]
-            ties.append(fixed[l])
-            continue
-        x = head[i0]
-        rejects |= below[l][x]
-        w = rotl[-l][x]
-        bit = 1 << w
-        if not lasts & bit:
-            continue
-        rl = rotl[l]
-        rows = head + (w,)
-        for i in range(i0 + 1, n):
-            v = rl[rows[k + i - n]]
-            ri = rows[i]
-            if v != ri:
-                if v < ri:
-                    rejects |= bit
-                break
-        else:
-            ties.append(bit)
-    classes = lasts & ~rejects
-    stabs = {}
-    for tie in ties:
-        for w in _select(range(1 << n), tie & classes):
-            stabs[w] = stabs.get(w, 1) + 1
-    nn = n * n
-    return classes, {w: nn // stab for w, stab in stabs.items()}
-
-
-def _anchor_masks(first, second, n):
-    """What the prefix (first, second) decides of the pairs anchored on
-    the last row: ``(dead, anchored)``, the bitset of the last rows they
-    reject for every head of the prefix and the list of the pairs that
-    tie on, as ``(n - 1, l, 0)`` for :func:`_last_row_bits`.
+def _prefix_pairs(first, second, n):
+    """What the prefix (first, second) decides of the pairs whose image
+    meets the last row at its row 0 or 1: ``(dead, anchored, turns)``.
 
     Pair (n - 1, l) brings the last row w to the top, and ties there
     only for the one word with ``rotl[l][w] == first``.  Row 1 of that
     image, ``rotl[l][first]``, meets the second row: below it, the word
-    is rejected (``dead``); equal to it, the pair ties on and each head
-    decides it (``anchored``); above it, the pair decides nothing.  At
-    order 2 the second row is the last row itself.
+    is rejected for every head of the prefix (the bitset ``dead``);
+    equal to it, the pair ties on (its l in ``anchored``), and each stem
+    decides it; above it, the pair decides nothing.  At order 2 the
+    second row is the last row itself.
+
+    Pair (n - 2, l) brings row n - 2, x, to the top, and ties there only
+    for ``x = rotl[-l][first]``.  Row 1 of that image, ``rotl[l][w]``,
+    meets the second row: the words below it, ``below[l][second]``, are
+    rejected, and one word w ties on.  ``turns`` holds ``(x, n - 2,
+    rotl[l], w, rejected)`` for each such pair, for :func:`_stem_scan`
+    to compare w on.  At order 3 the second row is x itself, so only the
+    pairs whose x is the second row hold; at order 2 x is the first row,
+    whose pairs are (0, l).
     """
     rotl = _shift_tables(n)[0]
+    below = _bit_tables(n)[2]
     dead = 0
-    anchored = []
+    anchored, turns = [], []
     for l in range(n):
-        v = rotl[l][first]
+        t, v = rotl[-l][first], rotl[l][first]
         if v < second:
-            dead |= 1 << rotl[-l][first]
+            dead |= 1 << t
         elif v == second:
-            anchored.append((n - 1, l, 0))
-    return dead, anchored
+            anchored.append(l)
+        if n > 2:
+            turns.append((t, n - 2, rotl[l], rotl[-l][second], below[l][second]))
+    return dead, anchored, turns
 
 
-def _stem_sums(ored, anded, one_colour, quiet, dead, n, weavable_mode):
-    """``(fitted, b_bar, q_bar)`` summed over the heads ``stem + (x,)`` for
-    the ``(x, pool)`` in ``quiet``, of a stem with the fold ``ored`` and
-    ``anded`` (``one_colour`` when it holds a 0 or all-ones row) on which
-    no pair ties past the first row, nothing being anchored either, and
-    no x being a rotation of the first row.
+def _stem_scan(stem, xs, first, anchored, turns, n):
+    """The minimality scan of the tuples ``stem + (x, w)``, decided once
+    per stem for every row n - 2, x, in ``xs`` and every last row w.
+    ``anchored`` and ``turns`` are what the prefix decides of the pairs
+    (n - 1, l) and (n - 2, l) (:func:`_prefix_pairs`).  Returns
+    ``(rejects, dead, entries)``: the bitset of the x whose head some
+    shift image already lowers, -1 (every x) when one does on stem rows
+    alone; the bitset of the last rows rejected for every x; and for
+    each x that some pair decides past the stem, ``[rejected, *tied]``:
+    the bitsets of the last rows rejected, and per pair that ties on
+    through the last row, of the last rows that pair fixes.
 
-    No shift image ties such a head past the first row, so its classes
-    are its last rows outside ``dead``, each with orbit n**2, and its
-    weavable classes are those among them that complete the fold of its
-    rows.  They depend only on the stem's fold and on x, so a count sums
-    them once per stem fold and prefix.
+    Exact only on the tuples the generator builds: the first row is a
+    necklace and every row's least rotation is at least the first.  Then
+    the first row of image (k, l), ``rotl[l]`` of row k, never falls below
+    the first row, and it ties exactly when that row's least rotation is
+    the first row and l is one of its anchors.  Only those pairs are
+    compared, word by word from the second row on.
+
+    A pair (k, l) with 1 <= k <= n - 3 compares stem rows first: one
+    already smaller rejects every head of the stem.  Otherwise row
+    n - 2 - k puts ``rotl[l][x]`` against a stem row y: the x below are
+    ``below[l][y]``, and one x ties on.  For that x, as for the one x of
+    a pair (n - 2, l), the pair meets the last row at row n - 1 - k,
+    where ``rotl[l][w]`` faces a head row z: the words below are
+    rejected, and the one word ``rotl[-l][z]`` ties.  The later rows
+    read only the stem, x and that word, so it is compared on here.  A
+    pair (0, l) compares x and w with their own rotations: it rejects
+    ``under[l]`` and ties ``fixed[l]`` on both.  A pair (n - 1, l) ties
+    only at the last row ``rotl[-l][first]``: stem rows already smaller
+    reject that word for every x, and otherwise row n - 2 puts a stem
+    word y against x, an x above y rejects the word, and at x = y the
+    image's last row decides.
+    """
+    rotl, least, anchors = _shift_tables(n)
+    below, under, fixed = _bit_tables(n)[2:]
+    rejects = dead = 0
+    entries = {}
+    ties = []  # the pairs (k, l) that tie on one x, as in ``turns``
+
+    # At order 2 the stem is empty and the first row is row n - 2.
+    for k, w in enumerate(stem or (first,)):
+        if least[w] != first:
+            continue
+        for l in anchors[w]:
+            if not (k or l):
+                continue
+            rl = rotl[l]
+            for i in range(1, n - 2 - k):
+                d = rl[stem[k + i]] - stem[i]
+                if d:
+                    if d < 0:
+                        return -1, 0, {}
+                    break
+            else:
+                if k:
+                    y = stem[n - 2 - k]
+                    rejects |= below[l][y]
+                    x = rotl[-l][y]
+                    z = (stem + (x,))[n - 1 - k]
+                    ties.append((x, k, rl, rotl[-l][z], below[l][z]))
+                else:
+                    rejects |= under[l]
+                    for x in _select(range(1 << n), fixed[l]):
+                        entries.setdefault(x, [0]).append(fixed[l])
+                        entries[x][0] |= under[l]
+    for x, k, rl, w, rejected in itertools.chain(ties, turns):
+        if x not in xs or rejects >> x & 1:
+            continue
+        # Image row i is rl of row k + i - n, the first row at i = n - k.
+        rows = stem + (x, w)
+        i = n - k
+        d = rl[first] - rows[i]
+        while not d and i < n - 1:
+            i += 1
+            d = rl[rows[k + i - n]] - rows[i]
+        entry = entries.setdefault(x, [0])
+        entry[0] |= rejected | (d < 0) << w
+        if not d:
+            entry.append(1 << w)
+    for l in anchored:
+        rl = rotl[l]
+        w = rotl[-l][first]
+        for i in range(2, n - 2):
+            d = rl[stem[i - 1]] - stem[i]
+            if d:
+                dead |= (d < 0) << w
+                break
+        else:
+            y = rl[stem[-1]] if stem else first
+            for x in range(y + 1, 1 << n):
+                entries.setdefault(x, [0])[0] |= 1 << w
+            if rl[y] < w:
+                entries.setdefault(y, [0])[0] |= 1 << w
+            elif rl[y] == w:
+                entries.setdefault(y, [0]).append(1 << w)
+    return rejects, dead, entries
+
+
+def _stem_sums(ored, anded, one_colour, xs, dead, n, weavable_mode):
+    """The body's sums over the heads ``stem + (x,)`` of a stem with the
+    fold ``ored`` and ``anded`` (``one_colour`` when it holds a 0 or
+    all-ones row), for the rows x and pools of the dict ``xs``, were no
+    pair to decide any of them past the stem: ``(sums, quiet)``, where
+    ``quiet[x]`` is ``(fitted, b_bar, q_bar)`` of x and ``sums`` their
+    sums over xs.
+
+    Such a head's classes are its last rows outside ``dead``, each with
+    orbit n**2, and its weavable classes are those among them that
+    complete the fold of its rows.  They depend only on the stem's fold,
+    on ``dead`` and on x, so a count sums them once per stem fold, dead
+    set and prefix, and takes off the x that a stem rejects or decides.
     """
     top = (1 << n) - 1
     covers, misses = _bit_tables(n)[:2]
     two_colour = (1 << top) - 2
-    fits = [
-        0 if one_colour or x == top
-        else covers[top & ~(ored | x)] & misses[anded & x] & pool & two_colour
-        for x, pool in quiet
-    ]
-    kept = sum(map(int.bit_count, [f & ~dead for f in fits]))
-    if weavable_mode:
-        return sum(map(int.bit_count, fits)), kept, kept
-    # In all mode every head's classes are its pool outside dead.
-    return 0, sum((pool & ~dead).bit_count() for _, pool in quiet), kept
+    quiet = {}
+    for x, pool in xs.items():
+        fits = covers[top & ~(ored | x)] & misses[anded & x] & pool
+        classes = (fits if weavable_mode else pool) & ~dead
+        # The fold rejects a 0 or all-ones row.
+        weavable = 0 if one_colour or x == top else classes & fits & two_colour
+        quiet[x] = fits.bit_count(), classes.bit_count(), weavable.bit_count()
+    return tuple(map(sum, zip(*quiet.values()))), quiet
 
 
 def _filer(found):
@@ -446,59 +445,65 @@ def _filer(found):
     return emit
 
 
-def _scan(n, weavable_mode, first, dead, anchored, stems, emit, memo=None):
+def _scan(n, weavable_mode, first, second, stems, emit, memo=None):
     """The census loop's one body, run over the heads ``stem + (x,)`` of
-    one prefix with first row ``first``: the stems in order, each with
-    its ascending ``(x, pool)`` pairs, a row n - 2 and the last rows to
-    try after it.  Returns ``(fitted, b_bar, q_bar, short)``: the tuples
-    whose head's fold they complete, the classes, the weavable classes
-    and how far the weavable classes' orbits fall short of n**2, summed.
-    Each head with classes goes to ``emit`` (if given).
+    the prefix (first, second): the stems in order, each with the dict
+    of its rows n - 2, ascending, to the bitsets of the last rows to try
+    after them.  Returns ``(fitted, b_bar, q_bar, short)``: the tuples
+    whose head's fold they complete (read in interweavings mode only),
+    the classes, the weavable classes and how far the weavable classes'
+    orbits fall short of n**2, summed.  Each head with classes goes to
+    ``emit`` (if given).
 
-    Each stem is decided once by :func:`_stem_scan`.  A count of the
-    census, whose stems all share one list of pairs, passes a ``memo``
-    dict: a stem on which no pair ties, of a prefix that anchors nothing,
-    then takes the sums of its heads whose x is no rotation of the first
-    row from the memo, by its fold (:func:`_stem_sums`), and runs the
-    body only over the others.
+    Each stem is decided once by :func:`_stem_scan`, and a head's
+    classes are its last rows outside the dead sets and its entry's
+    rejects, with stabilizer 1 plus the entry's pairs that fix them.  A
+    count of the census, whose stems all share one dict of rows, passes
+    a ``memo`` dict: a stem then takes the sums of its heads from the
+    memo, by its fold and dead set (:func:`_stem_sums`), less those of
+    the x it rejects or decides, and runs the body only over the x it
+    decides.  A stem rejected whole adds only its fitting rows.
     """
     top = (1 << n) - 1
-    least, anchors = _shift_tables(n)[1:]
+    words = range(1 << n)
     covers, misses = _bit_tables(n)[:2]
     two_colour = (1 << top) - 2  # the words 1 .. top - 1
     nn = n * n
+    dead, anchored, turns = _prefix_pairs(first, second, n)
     fitted = b_bar = q_bar = short = 0
-    quiet = turns = None  # the pairs a memo sums, and the others
     for stem, xs in stems:
-        rejects, ties = _stem_scan(stem, first, n)
+        rejects, stem_dead, entries = _stem_scan(stem, xs, first, anchored, turns, n)
+        stem_dead |= dead
         stem_or, stem_and = reduce(or_, stem, 0), reduce(and_, stem, top)
         # The fold rejects a 0 or all-ones row; every later row is at
         # least the first, so only the first can be 0.
         one_colour = not first or top in stem
-        if memo is not None and not (rejects or ties or anchored):
-            if quiet is None:
-                quiet = [(x, pool) for x, pool in xs if least[x] != first]
-                turns = [(x, pool) for x, pool in xs if least[x] == first]
-            key = stem_or, stem_and, one_colour
-            sums = memo.get(key)
-            if sums is None:
-                sums = memo[key] = _stem_sums(
-                    stem_or, stem_and, one_colour, quiet, dead, n, weavable_mode
+        if memo is not None:
+            key = stem_or, stem_and, one_colour, stem_dead
+            if key not in memo:
+                memo[key] = _stem_sums(
+                    stem_or, stem_and, one_colour, xs, stem_dead, n, weavable_mode
                 )
-            fitted += sums[0]
-            b_bar += sums[1]
-            q_bar += sums[2]
-            xs = turns
-        for x, pool in xs:
-            ored = stem_or | x
-            anded = stem_and & x
+            (fitting, classes, weavable), quiet = memo[key]
+            fitted += fitting
+            if rejects == -1:
+                continue
+            xs = {x: xs[x] for x in entries if x in xs and not rejects >> x & 1}
+            for x in [*xs, *_select(words, rejects)]:
+                _, b, q = quiet.get(x, (0, 0, 0))
+                classes -= b
+                weavable -= q
+            b_bar += classes
+            q_bar += weavable
+        for x, pool in xs.items():
             # A last row w completes the fold when it sets every bit the
             # head leaves clear and clears every bit it sets.  In
             # interweavings mode the pool holds no 0 or all-ones word.
-            fits = covers[top & ~ored] & misses[anded] & pool
+            fits = covers[top & ~(stem_or | x)] & misses[stem_and & x] & pool
             if weavable_mode:
                 lasts = fits
-                fitted += fits.bit_count()
+                if memo is None:  # a count takes them from the memo
+                    fitted += fits.bit_count()
                 if not lasts:
                     continue
             else:
@@ -507,17 +512,17 @@ def _scan(n, weavable_mode, first, dead, anchored, stems, emit, memo=None):
                 fits = fits & two_colour if not one_colour and x != top else 0
             if rejects >> x & 1:
                 continue
-            tied = [pair for bits, pair in ties if bits >> x & 1] if ties else []
-            if least[x] == first:  # pairs (n - 2, l) tie at once
-                tied += [(n - 2, l, 1) for l in anchors[x] if n > 2 or l]
-            # With no pair tied past the head or anchored on the last row,
-            # no image ties past the second row: canonical, stabilizer 1.
-            classes = lasts & ~dead
+            # Without an entry for x no image ties the head past the
+            # stem: its classes are canonical, with stabilizer 1.
+            classes = lasts & ~stem_dead
             orbits = {}
-            if tied or anchored:
-                classes, orbits = _last_row_bits(
-                    stem + (x,), tied + anchored, classes, n
-                )
+            entry = entries.get(x)
+            if entry:
+                classes &= ~entry[0]
+                if len(entry) > 1:  # stabilizer 1 and the pairs that fix w
+                    fixed = [_select(words, tie & classes) for tie in entry[1:]]
+                    stabs = Counter(itertools.chain(*fixed))
+                    orbits = {w: nn // (1 + stab) for w, stab in stabs.items()}
             b_bar += classes.bit_count()
             weavable = classes & fits
             if weavable:
@@ -565,9 +570,9 @@ def _census_loop(
     its row n - 2: the census each stem the row pool builds with the
     pool's words as its rows n - 2, a walk its table's heads grouped by
     stem.  A run with no ``emit``, a count, gives the census a memo, so
-    that the quiet heads of each stem fold are summed once per prefix
-    (:func:`_stem_sums`); its counts are those of a run that scans every
-    head.
+    that the quiet heads are summed once per stem fold, dead set and
+    prefix (:func:`_stem_sums`); its counts are those of a run that
+    scans every head.
     """
     n = cfg.n
     weavable_mode = cfg.mode == INTERWEAVINGS
@@ -582,13 +587,13 @@ def _census_loop(
     for prefix, allowed in _prefixes(n, cfg.mode)[index::total]:
         first, second = prefix
         pool_bits = 1 << second if n == 2 else _bitset(allowed)
-        dead, anchored = _anchor_masks(first, second, n)
-        memo = None
+        # A count sums the quiet heads of the census by stem fold.
+        memo = {} if emit is None and kernel is None else None
         if kernel is not None:  # a walk: the table's heads in order, by stem
             table = _symmetric_table(n, kernel, first, second, pool_bits)
             heads = itertools.groupby(sorted(table), lambda head: head[:-1])
             stems = [
-                (stem, [(head[-1], table[head]) for head in group])
+                (stem, {head[-1]: table[head] for head in group})
                 for stem, group in heads
             ]
             held = sum(map(int.bit_count, table.values()))
@@ -596,13 +601,11 @@ def _census_loop(
             held = len(allowed) ** (n - 2)  # the tuples below
             # Below order 4 the prefix holds the stem and row n - 2 too.
             rows = allowed if n > 3 else prefix[n - 2 : n - 1]
-            xs = [(x, pool_bits) for x in rows]
+            xs = dict.fromkeys(rows, pool_bits)
             mids = itertools.product(allowed, repeat=max(n - 4, 0))
             stems = ((prefix[: n - 2] + mid, xs) for mid in mids)
-            if emit is None:  # a count sums the quiet heads by stem fold
-                memo = {}
         fitted, classes, weavable, missing = _scan(
-            n, weavable_mode, first, dead, anchored, stems, emit, memo
+            n, weavable_mode, first, second, stems, emit, memo
         )
         candidates += held
         # Every tuple is a weavability reject until its head fits it.

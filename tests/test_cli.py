@@ -199,18 +199,18 @@ def test_failing_worker_exits_2_naming_its_prefix(capsys, monkeypatch, argv, n):
     ids=("count", "list", "verify"),
 )
 def test_failed_prefix_exits_2_naming_it(capsys, monkeypatch, argv, jobs):
-    # The census loop fails on the last rows of the head (1, 2), which at
-    # order 3 is prefix 1; a run with or without a pool takes the same
+    # The census loop fails on the shift pairs of the order-3 prefix
+    # (1, 2), prefix 1; a run with or without a pool takes the same
     # failure path.
-    real = enumeration._last_row_bits
+    real = enumeration._prefix_pairs
 
-    def failing(head, *args):
-        if head == (1, 2):
+    def failing(first, second, n):
+        if (first, second, n) == (1, 2, 3):
             raise RuntimeError("census loop failed")
-        return real(head, *args)
+        return real(first, second, n)
 
     # Pool workers are forked, so they inherit the patched function.
-    monkeypatch.setattr(enumeration, "_last_row_bits", failing)
+    monkeypatch.setattr(enumeration, "_prefix_pairs", failing)
     code, _, err = run(capsys, *argv, *jobs)
     assert code == 2
     # The error line comes first, then the traceback of its cause.
@@ -224,15 +224,15 @@ def test_failed_prefix_exits_2_naming_it(capsys, monkeypatch, argv, jobs):
 def test_failed_list_leaves_no_out_file(capsys, monkeypatch, tmp_path, jobs):
     # Prefix 0's block is written before prefix 1 fails; the file that
     # holds it is removed, so exit 2 leaves no truncated listing.
-    real = enumeration._last_row_bits
+    real = enumeration._prefix_pairs
 
-    def failing(head, *args):
-        if head == (1, 2):
+    def failing(first, second, n):
+        if (first, second, n) == (1, 2, 3):
             raise RuntimeError("census loop failed")
-        return real(head, *args)
+        return real(first, second, n)
 
     # Pool workers are forked, so they inherit the patched function.
-    monkeypatch.setattr(enumeration, "_last_row_bits", failing)
+    monkeypatch.setattr(enumeration, "_prefix_pairs", failing)
     target = tmp_path / "reps.txt"
     code, out, err = run(capsys, "list", "--n", "3", "--out", str(target), *jobs)
     assert code == 2

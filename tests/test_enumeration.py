@@ -40,9 +40,8 @@ from interweave import (
 from interweave.enumeration import (
     LIST_FILTERS,
     MODES,
-    _anchor_masks,
     _census_loop,
-    _last_row_bits,
+    _prefix_pairs,
     _PrefixError,
     _prefixes,
     _run_shards,
@@ -219,51 +218,67 @@ def test_anchors_are_the_rotations_onto_the_least(n):
 
 def _census_stems(first, second, later, n):
     """The stems of the prefix (first, second) as the census loop walks
-    them, each with its ``(x, pool)`` pairs: every row n - 2 from
-    ``later`` and the bitset of ``later`` as its last rows.  Below order 4
-    the prefix holds the stem and row n - 2, and at order 2 the second
-    row is the last row itself."""
+    them, each with the dict of its rows n - 2, every word of ``later``,
+    to the bitset of ``later`` as their last rows.  Below order 4 the
+    prefix holds the stem and row n - 2, and at order 2 the second row
+    is the last row itself."""
     if n == 2:
-        return [((), [(first, 1 << second)])]
+        return [((), {first: 1 << second})]
     pool = _bitset(later)
     if n == 3:
-        return [((first,), [(second, pool)])]
-    xs = [(x, pool) for x in later]
+        return [((first,), {second: pool})]
+    xs = dict.fromkeys(later, pool)
     mids = itertools.product(later, repeat=n - 4)
     return [((first, second) + mid, xs) for mid in mids]
+
+
+def _anchored_cases(stem, x, first, anchored, n):
+    """Where x falls against the stem word y that row n - 2 of each
+    anchored pair (n - 1, l) puts it against, for the pairs that tie on
+    the stem rows: "below", "at" or "above"."""
+    rotl = _shift_tables(n)[0]
+    for l in anchored:
+        rl = rotl[l]
+        if all(rl[stem[i - 1]] == stem[i] for i in range(2, n - 2)):
+            y = rl[stem[-1]] if stem else first
+            yield "below" if x < y else "at" if x == y else "above"
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_last_row_bits_on_every_generated_shape(n):
     # Every tuple the generator could build, over the full word range,
     # decided per stem as the census loop decides it: the stem scan for
-    # every row n - 2 at once, then per head the prefix's anchor masks
-    # and the last-row bitsets wherever a pair still ties.  The body runs
-    # in all mode, so every head with a class is handed on.
+    # every row n - 2 and last row at once, then the body's bitsets per
+    # head.  The body runs in all mode, so every head with a class is
+    # handed on.
     least = _shift_tables(n)[1]
     words = range(1 << n)
     seen = {"stem": 0, "row": 0, "rejected": 0, "stabilized": 0}
+    cases = {"below": 0, "at": 0, "above": 0}
     for first in words:
         if least[first] != first:
             continue
         later = [w for w in words if least[w] >= first]
         for second in later:
-            dead, anchored = _anchor_masks(first, second, n)
+            _, anchored, turns = _prefix_pairs(first, second, n)
             for stem, xs in _census_stems(first, second, later, n):
-                rejects = _stem_scan(stem, first, n)[0]
+                rejects = _stem_scan(stem, xs, first, anchored, turns, n)[0]
                 seen["stem"] += rejects == -1
-                seen["row"] += sum(rejects >> x & 1 for x, _ in xs)
+                seen["row"] += sum(rejects >> x & 1 for x in xs)
                 found = {}
 
                 def emit(head, classes, weavable, orbits):
                     found[head] = classes, orbits
 
-                _scan(n, False, first, dead, anchored, [(stem, xs)], emit)
-                for x, pool in xs:
+                _scan(n, False, first, second, [(stem, xs)], emit)
+                for x, pool in xs.items():
                     head = stem + (x,)
                     classes, orbits = found.get(head, (0, {}))
                     if rejects >> x & 1:
                         assert head not in found, head
+                    else:
+                        for case in _anchored_cases(stem, x, first, anchored, n):
+                            cases[case] += 1
                     for w in _select(words, pool):
                         grid = oracle.words_to_grid(head + (w,), n)
                         images = oracle.images(grid)
@@ -279,19 +294,24 @@ def test_last_row_bits_on_every_generated_shape(n):
     # Order 2 has no head pair to compare, and order 3 none on stem rows.
     assert (seen["row"] > 0) == (n > 2), seen
     assert (seen["stem"] > 0) == (n > 3), seen
+    # Below order 4 x is the one word y; from order 4 on it falls on
+    # every side of it.
+    assert cases["at"] > 0, cases
+    assert (cases["below"] > 0) == (cases["above"] > 0) == (n > 3), cases
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_scan_halves_on_every_generated_shape(n):
     # Every tuple the generator could build, over the full word range,
     # one tuple at a time: the stem scan decides from the first n - 2
-    # rows alone, for every row n - 2, and the last-row half, given the
-    # one-word bitset of the tuple's last row, resumes the pairs that tie
-    # on the tuple's row n - 2, with the pairs (n - 2, l) of a row n - 2
-    # that is a rotation of the first row.
-    _, least, anchors = _shift_tables(n)
+    # rows alone, for every row n - 2 and last row, and the tuple's
+    # class is its last row outside the dead sets and the entry's
+    # rejects of its row n - 2, with stabilizer 1 plus the entry's pairs
+    # that fix the last row.
+    least = _shift_tables(n)[1]
     words = range(1 << n)
-    decided = {"stem": 0, "last row": 0}
+    decided = {"stem": 0, "last row": 0, "tied": 0}
+    cases = {"below": 0, "at": 0, "above": 0}
     for first in words:
         if least[first] != first:
             continue
@@ -299,69 +319,76 @@ def test_scan_halves_on_every_generated_shape(n):
         for mid in itertools.product(later, repeat=n - 2):
             head = (first,) + mid
             stem, x = head[:-1], head[-1]
-            rejects, ties = _stem_scan(stem, first, n)
-            tied = [pair for bits, pair in ties if bits >> x & 1]
-            if least[x] == first:
-                tied += [(n - 2, l, 1) for l in anchors[x] if n > 2 or l]
             for w in later:
                 rows = head + (w,)
+                dead, anchored, turns = _prefix_pairs(first, rows[1], n)
+                scan = _stem_scan(stem, (x,), first, anchored, turns, n)
+                rejects, stem_dead, entries = scan
                 grid = oracle.words_to_grid(rows, n)
                 images = oracle.images(grid)
                 if rejects >> x & 1:
                     decided["stem"] += 1
                     assert min(images) != grid, rows
                     continue
-                dead, anchored = _anchor_masks(first, rows[1], n)
-                lasts = (1 << w) & ~dead
-                classes, orbits = _last_row_bits(head, tied + anchored, lasts, n)
-                if min(images) != grid:
+                for case in _anchored_cases(stem, x, first, anchored, n):
+                    cases[case] += 1
+                rejected, *tied = entries.get(x, [0])
+                if (dead | stem_dead | rejected) >> w & 1:
                     decided["last row"] += 1
-                    assert classes == 0 and not orbits, rows
+                    assert min(images) != grid, rows
                 else:
-                    assert classes == 1 << w, rows
-                    assert orbits.get(w, n * n) == len(images), rows
-    assert decided["last row"] > 0
+                    stab = 1 + sum(tie >> w & 1 for tie in tied)
+                    decided["tied"] += stab > 1
+                    assert min(images) == grid, rows
+                    assert n * n // stab == len(images), rows
+    assert decided["last row"] > 0 and decided["tied"] > 0, decided
     assert (decided["stem"] > 0) == (n > 2)  # order 2 has no head pair to compare
+    assert cases["at"] > 0, cases
+    assert (cases["below"] > 0) == (cases["above"] > 0) == (n > 3), cases
 
 
 def test_order5_sends_few_heads_to_the_last_row_bits(monkeypatch):
-    # The prefix's dead anchors leave most heads that pass the stem scan
-    # with no pair to decide on the last row: the order-5 census and its
-    # walks of the symmetric tables decide 2 480 stems, once each, and
-    # the last rows of 16 017 heads pair by pair, whether the run lists
-    # or counts.
-    real_stem, real_bits = enumeration._stem_scan, enumeration._last_row_bits
-    calls = {"stem": 0, "bits": 0}
+    # Each stem decides the last rows of all its heads at once: the
+    # order-5 census and its walks of the symmetric tables decide 2 480
+    # stems, once each, of 55 701 heads, whether the run lists or
+    # counts, and past the stem their entries decide 9 792 heads; no
+    # head calls a scan of its own.
+    real = enumeration._stem_scan
+    calls = {"stem": 0, "heads": 0, "decided": 0}
 
-    def stem_scan(*args):
+    def stem_scan(stem, xs, *args):
+        rejects, dead, entries = real(stem, xs, *args)
         calls["stem"] += 1
-        return real_stem(*args)
-
-    def last_row_bits(*args):
-        calls["bits"] += 1
-        return real_bits(*args)
+        calls["heads"] += len(xs)
+        calls["decided"] += sum(x in xs and not rejects >> x & 1 for x in entries)
+        return rejects, dead, entries
 
     monkeypatch.setattr(enumeration, "_stem_scan", stem_scan)
-    monkeypatch.setattr(enumeration, "_last_row_bits", last_row_bits)
     for emit in (None, lambda *a: None):
-        calls.update(stem=0, bits=0)
+        calls.update(stem=0, heads=0, decided=0)
         report = _census_loop(EnumConfig(5), emit)
         assert (report.q_bar, report.rejected_minimality) == (705366, 309559)
-        assert calls == {"stem": 2480, "bits": 16017}
+        assert calls == {"stem": 2480, "heads": 55701, "decided": 9792}
 
 
 def test_order6_prefixes_match_brute_force():
     # The smallest order-6 prefixes, the last six, with three middle
-    # rows each: their tuples are every (first, second) + three later
-    # rows, and the classes are exactly the weavable canonical ones, in
-    # order.
+    # rows each, and the nine of the periodic first row 27, three of
+    # which anchor pairs on the last row, with four: their tuples are
+    # every (first, second) + later rows, and the classes are exactly
+    # the weavable canonical ones, in order.  A count of each equals its
+    # scans.
     cfg = EnumConfig(6, limit_override=True)
     prefixes = _prefixes(6, INTERWEAVINGS)
     assert len(prefixes) == 384
     smallest = [p for p, (_, allowed) in enumerate(prefixes) if len(allowed) == 6]
     assert smallest == list(range(378, 384))
+    periodic = [p for p, (prefix, _) in enumerate(prefixes) if prefix[0] == 27]
+    assert periodic == list(range(369, 378))
+    anchoring = [p for p in periodic if _prefix_pairs(*prefixes[p][0], 6)[1]]
+    assert anchoring == [369, 371, 373]
     classes = 0
-    for p in smallest:
+    for p in periodic + smallest:
         prefix, allowed = prefixes[p]
         expected, unweavable, not_canonical = [], 0, 0
         for mid in itertools.product(allowed, repeat=4):
@@ -374,15 +401,17 @@ def test_order6_prefixes_match_brute_force():
                 expected.append(classify(a))
 
         records = []
-        report = enumerate_classes(replace(cfg, shard=Shard(p, 384)), records.append)
+        shard = replace(cfg, shard=Shard(p, 384))
+        report = enumerate_classes(shard, records.append)
         assert records == expected, p
-        assert report.candidates_examined == 6**4
+        assert report.candidates_examined == len(allowed) ** 4
         assert report.rejected_weavability == unweavable
         assert report.rejected_minimality == not_canonical
         assert report.q_bar == len(records)
         assert report.q_count == sum(rec.orbit_size for rec in records)
         assert report.m_bar == sum(rec.self_mirror for rec in records)
         assert report.r_bar == sum(rec.rotation_stable for rec in records)
+        _assert_count_equals_scans(shard)
         classes += len(records)
     assert classes > 0
 
@@ -398,19 +427,20 @@ def test_stem_scan_decides_order5_rejects_once_per_stem(monkeypatch):
     least = _shift_tables(5)[1]
     decided = 0
 
-    def counted(n, weavable_mode, first, dead, anchored, stems, *rest):
+    def counted(n, weavable_mode, first, second, stems, *rest):
         nonlocal decided
         stems = list(stems)
+        _, anchored, turns = _prefix_pairs(first, second, n)
         for stem, xs in stems:
-            rejects = _stem_scan(stem, first, n)[0]
+            rejects = _stem_scan(stem, xs, first, anchored, turns, n)[0]
             decided += sum(
                 is_weavable(BitMatrix(stem + (x, w)))
-                for x, _ in xs
+                for x in xs
                 if rejects >> x & 1
                 for w in range(first, 1 << n)
                 if least[w] >= first
             )
-        return real(n, weavable_mode, first, dead, anchored, stems, *rest)
+        return real(n, weavable_mode, first, second, stems, *rest)
 
     monkeypatch.setattr(enumeration, "_scan", counted)
     report = enumerate_classes(EnumConfig(5))
@@ -462,26 +492,28 @@ def test_count_of_quiet_order6_prefixes_equals_their_scans():
         _assert_count_equals_scans(replace(cfg, shard=Shard(p, len(prefixes))))
 
 
-# Stem folds a count sums, over its prefixes, per order and mode.
+# Stem folds and dead sets a count sums, over its prefixes, per order
+# and mode.
 STEM_SUMS = {
-    (4, INTERWEAVINGS): 18,
-    (5, INTERWEAVINGS): 431,
-    (4, ALL): 24,
-    (5, ALL): 569,
+    (4, INTERWEAVINGS): 34,
+    (5, INTERWEAVINGS): 736,
+    (4, ALL): 55,
+    (5, ALL): 1113,
 }
 
 
 @pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
 def test_count_sums_quiet_heads_by_stem_fold(monkeypatch, mode):
-    # A count sums the heads of a stem on which no pair ties, of a prefix
-    # that anchors nothing, whose row n - 2 is no rotation of the first
-    # row, once per stem fold and prefix; a run that emits and a walk run
-    # every head through the body.  The sums are the body's own.
+    # A count sums the heads of every stem once per stem fold, dead set
+    # and prefix, as if no pair decided them past the stem, and takes
+    # off the rows n - 2 that the stem rejects or decides; a run that
+    # emits and a walk run every head through the body.  The sums are
+    # the body's own: on the quiet heads, and the fitting rows of all.
     real = enumeration._stem_sums
     folds = []
 
     def stem_sums(*args):
-        folds.append(args[:3])
+        folds.append(args[:3] + args[4:5])
         return real(*args)
 
     monkeypatch.setattr(enumeration, "_stem_sums", stem_sums)
@@ -499,21 +531,27 @@ def test_count_sums_quiet_heads_by_stem_fold(monkeypatch, mode):
             assert len(set(folds)) == len(folds), (n, p)
             summed += len(folds)
             folds.clear()
-            dead, anchored = _anchor_masks(first, second, n)
-            if anchored:
-                continue
-            least = _shift_tables(n)[1]
+            dead, anchored, turns = _prefix_pairs(first, second, n)
             for stem, xs in _census_stems(first, second, later, n):
-                if _stem_scan(stem, first, n) != (0, []):
-                    continue
-                quiet = [(x, pool) for x, pool in xs if least[x] != first]
+                scan = _stem_scan(stem, xs, first, anchored, turns, n)
+                rejects, stem_dead, entries = scan
                 top = (1 << n) - 1
                 ored, anded = reduce(or_, stem), reduce(and_, stem)
-                sums = real(
-                    ored, anded, not first or top in stem, quiet, dead, n, weavable_mode
+                sums, per_x = real(
+                    ored, anded, not first or top in stem, xs, dead | stem_dead, n,
+                    weavable_mode,
                 )
-                body = _scan(n, weavable_mode, first, dead, [], [(stem, quiet)], None)
-                assert sums + (0,) == body, stem
+                # Every head counts its fitting rows, a rejected one too.
+                body = _scan(n, weavable_mode, first, second, [(stem, xs)], None)
+                assert sums[0] == body[0] or not weavable_mode, stem
+                quiet = {
+                    x: pool for x, pool in xs.items()
+                    if x not in entries and not rejects >> x & 1
+                }
+                body = _scan(n, weavable_mode, first, second, [(stem, quiet)], None)
+                kept = tuple(map(sum, zip((0, 0, 0), *[per_x[x] for x in quiet])))
+                assert kept[1:] + (0,) == body[1:], stem
+                assert kept[0] == body[0] or not weavable_mode, stem
         assert summed == STEM_SUMS[n, mode]
 
 
