@@ -41,22 +41,27 @@ is compared on alone, over rows that read only the stem, x and that
 word.  The pairs anchored on x itself, when it is a rotation of the
 first row, and those anchored on the last row are decided the same
 way, and the prefix decides what it can of them for all its stems at
-once (:func:`_prefix_pairs`).  So a stem hands each head its last-row
-rejects and ties as bitsets, and no head runs a scan of its own.  At
-order 5 the census decides 2 275 stems and rejects 140 of them whole;
-the stems reject 7 796 heads with weavable last rows (127 666 of the
-309 559 non-canonical candidates) and decide 9 650 more past the stem.
+once (:func:`_prefix_pairs`): a pair anchored on x rejects the last
+rows that a rotation puts below the second row, one bitset per x for
+the whole prefix, and its stems compare only the one word it ties on.
+So a stem hands each head its last-row rejects and ties as bitsets,
+and no head runs a scan of its own.  At order 5 the census decides
+2 275 stems and rejects 140 of them whole; the stems reject 7 796
+heads with weavable last rows (127 666 of the 309 559 non-canonical
+candidates) and decide 7 700 more past the prefix and the stem.
 
-A count adds up most heads without running them through the loop
-body.  A head that its stem neither rejects nor decides past the stem
-is quiet: no pair ties it past the stem, its classes are its last rows
-outside the stem's dead set, each with orbit n**2, and its counts
-follow from the fold of its rows.  A run that emits nothing sums every
-x of a stem once per stem fold, dead set and prefix
-(:func:`_stem_sums`), takes off the x the stem rejects or decides, and
-runs only the x it decides through the body; a stem rejected whole
-adds only its fitting rows.  At order 5 a count sums 37 679 of the
-55 125 heads from 736 stem folds and runs 9 650 through the body.
+A count runs almost no head through the loop body.  A head that its
+stem neither rejects nor decides past the prefix is quiet: its classes
+are the last rows the prefix leaves alive outside the stem's dead set,
+each with orbit n**2, and its counts follow from the fold of its rows.
+A run that emits nothing keeps the classes of every x of a stem once
+per stem fold, dead set and prefix (:func:`_stem_sums`), as bitsets,
+and takes off the x the stem rejects and, for the x it decides, the
+classes their entries reject.  Only the heads that a pair ties on run
+through the body, for their orbits; a stem rejected whole adds only
+its fitting rows.  At order 5 a count takes 47 229 of the 55 125 heads
+from 736 stem folds, 7 670 of them less their entries' rejects, and
+runs 30 through the body.
 
 The symmetric classes are found one way: by walking tables, not by
 testing each class.  A class is self-mirror (rotation-stable) exactly
@@ -67,18 +72,18 @@ tables of :mod:`interweave.tables` hold those fixed points whose rows
 come from the prefix's pool, the tuples the census builds with the
 prefix, mapping a head to the bitset of its fixed-point last rows
 (:func:`~interweave.tables._symmetric_table`): one table per symmetry
-and (first, second) prefix, built by the prefix's task from one walk of
-the kernel's cell cycles and dropped after it.  A walk runs the table's
-heads in order through the census's loop body, :func:`_scan`, grouped
-by stem, each with its table entry as its last rows, so the fold and
-the scans keep exactly the symmetric classes, in lexicographic order,
-with nothing canonicalised and no set of seen classes kept.  A walk is
-a run of its own, over one symmetry's tables, and a census composes
-two: its ``m_bar`` and ``r_bar`` are the class counts of the mirror and
-the quarter-turn walk runs over its shard.  Only the record stream
-files the walks' classes by head, as its record flags, running both
-walks before its census.  A ``mirror`` or ``rotation`` listing is one
-walk run.  At order 5 the walks decide 205 stems of 576 heads and
+and (first, second) prefix, built by the prefix's task from the cell
+cycles of the shifts that admit the prefix and dropped after it.  A
+walk runs the table's heads in order through the census's loop body,
+:func:`_scan`, grouped by stem, each with its table entry as its last
+rows, so the fold and the scans keep exactly the symmetric classes, in
+lexicographic order, with nothing canonicalised and no set of seen
+classes kept.  A walk is a run of its own, over one symmetry's tables,
+and a census walks both tables of each of its prefixes: its ``m_bar``
+and ``r_bar`` are the class counts of those walks.  Only the record
+stream files the walks' classes by head, as its record flags, running
+both walks before its census.  A ``mirror`` or ``rotation`` listing is
+one walk run.  At order 5 the walks decide 205 stems of 576 heads and
 examine the tables' 2 275 and 145 tuples for the 1 302 self-mirror and
 74 rotation-stable classes of the 705 366; at order 6 they list the
 586 060 self-mirror and 902 rotation-stable classes in about a second,
@@ -223,9 +228,9 @@ class CountReport:
     candidates, the weavability rejects and the classes, and
     ``rejected_minimality`` is what they leave, so a count that adds up
     heads without scanning them needs no count of its own for it.
-    ``m_bar`` and ``r_bar`` are the class counts of the shard's two walk
-    runs, over its prefixes' mirror and quarter-turn tables, whose
-    tuples are not candidates.
+    ``m_bar`` and ``r_bar`` are the class counts of the walks of the
+    shard's prefixes' mirror and quarter-turn tables, whose tuples are
+    not candidates.
     A listing under the ``mirror`` or ``rotation`` filter walks only
     that symmetry's tables, instead of the census, so its report counts
     the symmetric classes only: ``q_bar`` is the number listed and
@@ -274,7 +279,8 @@ def _prefixes(n, mode):
 
 def _prefix_pairs(first, second, n):
     """What the prefix (first, second) decides of the pairs whose image
-    meets the last row at its row 0 or 1: ``(dead, anchored, turns)``.
+    meets the last row at its row 0 or 1: ``(dead, alive, anchored,
+    turns)``.
 
     Pair (n - 1, l) brings the last row w to the top, and ties there
     only for the one word with ``rotl[l][w] == first``.  Row 1 of that
@@ -284,17 +290,21 @@ def _prefix_pairs(first, second, n):
     decides it; above it, the pair decides nothing.  At order 2 the
     second row is the last row itself.
 
-    Pair (n - 2, l) brings row n - 2, x, to the top, and ties there only
-    for ``x = rotl[-l][first]``.  Row 1 of that image, ``rotl[l][w]``,
-    meets the second row: the words below it, ``below[l][second]``, are
-    rejected, and one word w ties on.  ``turns`` holds ``(x, n - 2,
-    rotl[l], w, rejected)`` for each such pair, for :func:`_stem_scan`
-    to compare w on.  At order 3 the second row is x itself, so only the
-    pairs whose x is the second row hold; at order 2 x is the first row,
-    whose pairs are (0, l).
+    Pair (n - 2, l), a turn pair, brings row n - 2, x, to the top, and
+    ties there only for ``x = rotl[-l][first]``.  Row 1 of that image,
+    ``rotl[l][w]``, meets the second row: the words below it,
+    ``below[l][second]``, are rejected for every head of the prefix
+    whose row n - 2 is x, once for all its stems, and ``alive[x]`` holds
+    the last rows that no turn pair of x rejects so (every word for the
+    other x).  One word w ties on: ``turns`` holds ``(x, n - 2,
+    rotl[l], w, 0)`` for each pair, for :func:`_stem_scan` to compare w
+    on.  At order 3 the second row is x itself, so only the pairs whose
+    x is the second row hold; at order 2 x is the first row, whose pairs
+    are (0, l).
     """
     rotl = _shift_tables(n)[0]
     below = _bit_tables(n)[2]
+    alive = [-1] * (1 << n)
     dead = 0
     anchored, turns = [], []
     for l in range(n):
@@ -304,8 +314,9 @@ def _prefix_pairs(first, second, n):
         elif v == second:
             anchored.append(l)
         if n > 2:
-            turns.append((t, n - 2, rotl[l], rotl[-l][second], below[l][second]))
-    return dead, anchored, turns
+            alive[t] &= ~below[l][second]
+            turns.append((t, n - 2, rotl[l], rotl[-l][second], 0))
+    return dead, alive, anchored, turns
 
 
 def _stem_scan(stem, xs, first, anchored, turns, n):
@@ -316,9 +327,10 @@ def _stem_scan(stem, xs, first, anchored, turns, n):
     ``(rejects, dead, entries)``: the bitset of the x whose head some
     shift image already lowers, -1 (every x) when one does on stem rows
     alone; the bitset of the last rows rejected for every x; and for
-    each x that some pair decides past the stem, ``[rejected, *tied]``:
-    the bitsets of the last rows rejected, and per pair that ties on
-    through the last row, of the last rows that pair fixes.
+    each x of which some pair decides more than that and the prefix's
+    ``alive[x]``, ``[rejected, *tied]``: the bitsets of the last rows
+    rejected, and per pair that ties on through the last row, of the
+    last rows that pair fixes.
 
     Exact only on the tuples the generator builds: the first row is a
     necklace and every row's least rotation is at least the first.  Then
@@ -330,11 +342,13 @@ def _stem_scan(stem, xs, first, anchored, turns, n):
     A pair (k, l) with 1 <= k <= n - 3 compares stem rows first: one
     already smaller rejects every head of the stem.  Otherwise row
     n - 2 - k puts ``rotl[l][x]`` against a stem row y: the x below are
-    ``below[l][y]``, and one x ties on.  For that x, as for the one x of
-    a pair (n - 2, l), the pair meets the last row at row n - 1 - k,
-    where ``rotl[l][w]`` faces a head row z: the words below are
-    rejected, and the one word ``rotl[-l][z]`` ties.  The later rows
-    read only the stem, x and that word, so it is compared on here.  A
+    ``below[l][y]``, and one x ties on.  For that x the pair meets the
+    last row at row n - 1 - k, where ``rotl[l][w]`` faces a head row z:
+    the words below are rejected, and the one word ``rotl[-l][z]`` ties.
+    The later rows read only the stem, x and that word, so it is
+    compared on here, and so is the one word of each turn pair
+    (n - 2, l), whose other rejects the prefix decides: its x gets an
+    entry only when the comparison rejects the word or ties on it.  A
     pair (0, l) compares x and w with their own rotations: it rejects
     ``under[l]`` and ties ``fixed[l]`` on both.  A pair (n - 1, l) ties
     only at the last row ``rotl[-l][first]``: stem rows already smaller
@@ -384,10 +398,11 @@ def _stem_scan(stem, xs, first, anchored, turns, n):
         while not d and i < n - 1:
             i += 1
             d = rl[rows[k + i - n]] - rows[i]
-        entry = entries.setdefault(x, [0])
-        entry[0] |= rejected | (d < 0) << w
-        if not d:
-            entry.append(1 << w)
+        if rejected or d <= 0:
+            entry = entries.setdefault(x, [0])
+            entry[0] |= rejected | (d < 0) << w
+            if not d:
+                entry.append(1 << w)
     for l in anchored:
         rl = rotl[l]
         w = rotl[-l][first]
@@ -407,31 +422,41 @@ def _stem_scan(stem, xs, first, anchored, turns, n):
     return rejects, dead, entries
 
 
-def _stem_sums(ored, anded, one_colour, xs, dead, n, weavable_mode):
+def _stem_sums(ored, anded, one_colour, xs, dead, alive, n, weavable_mode):
     """The body's sums over the heads ``stem + (x,)`` of a stem with the
     fold ``ored`` and ``anded`` (``one_colour`` when it holds a 0 or
     all-ones row), for the rows x and pools of the dict ``xs``, were no
-    pair to decide any of them past the stem: ``(sums, quiet)``, where
-    ``quiet[x]`` is ``(fitted, b_bar, q_bar)`` of x and ``sums`` their
-    sums over xs.
+    pair to decide any of them past the prefix and the stem's dead set:
+    ``(sums, quiet)``, where ``quiet[x]`` is the pair of bitsets of the
+    classes and the weavable classes of x, and ``sums`` is ``(fitted,
+    b_bar, q_bar)`` summed over xs.
 
-    Such a head's classes are its last rows outside ``dead``, each with
-    orbit n**2, and its weavable classes are those among them that
-    complete the fold of its rows.  They depend only on the stem's fold,
-    on ``dead`` and on x, so a count sums them once per stem fold, dead
-    set and prefix, and takes off the x that a stem rejects or decides.
+    Such a head's classes are its last rows outside ``dead`` that the
+    prefix leaves ``alive``, each with orbit n**2, and its weavable
+    classes are those among them that complete the fold of its rows.
+    They depend only on the stem's fold, on ``dead`` and on x, so a
+    count sums them once per stem fold, dead set and prefix, and takes
+    off what a stem rejects or decides.
     """
     top = (1 << n) - 1
     covers, misses = _bit_tables(n)[:2]
     two_colour = (1 << top) - 2
+    fitted = b_bar = q_bar = 0
     quiet = {}
     for x, pool in xs.items():
         fits = covers[top & ~(ored | x)] & misses[anded & x] & pool
-        classes = (fits if weavable_mode else pool) & ~dead
-        # The fold rejects a 0 or all-ones row.
-        weavable = 0 if one_colour or x == top else classes & fits & two_colour
-        quiet[x] = fits.bit_count(), classes.bit_count(), weavable.bit_count()
-    return tuple(map(sum, zip(*quiet.values()))), quiet
+        if weavable_mode:
+            # The pool holds no 0 or all-ones word: every class weaves.
+            classes = weavable = fits & alive[x] & ~dead
+            fitted += fits.bit_count()
+        else:
+            classes = pool & alive[x] & ~dead
+            # The fold rejects a 0 or all-ones row.
+            weavable = 0 if one_colour or x == top else classes & fits & two_colour
+            q_bar += weavable.bit_count()
+        b_bar += classes.bit_count()
+        quiet[x] = classes, weavable
+    return (fitted, b_bar, b_bar if weavable_mode else q_bar), quiet
 
 
 def _filer(found):
@@ -456,45 +481,55 @@ def _scan(n, weavable_mode, first, second, stems, emit, memo=None):
     ``emit`` (if given).
 
     Each stem is decided once by :func:`_stem_scan`, and a head's
-    classes are its last rows outside the dead sets and its entry's
-    rejects, with stabilizer 1 plus the entry's pairs that fix them.  A
-    count of the census, whose stems all share one dict of rows, passes
-    a ``memo`` dict: a stem then takes the sums of its heads from the
-    memo, by its fold and dead set (:func:`_stem_sums`), less those of
-    the x it rejects or decides, and runs the body only over the x it
-    decides.  A stem rejected whole adds only its fitting rows.
+    classes are its last rows that the prefix leaves alive, outside the
+    stem's dead set and its entry's rejects, with stabilizer 1 plus the
+    entry's pairs that fix them.  A count of the census, whose stems all
+    share one dict of rows, passes a ``memo`` dict: a stem then takes
+    the sums of its heads from the memo, by its fold and dead set
+    (:func:`_stem_sums`), less the classes of the x it rejects and those
+    its entries reject, and runs the body only over the x on which a
+    pair ties.  A stem rejected whole adds only its fitting rows.
     """
     top = (1 << n) - 1
     words = range(1 << n)
     covers, misses = _bit_tables(n)[:2]
     two_colour = (1 << top) - 2  # the words 1 .. top - 1
     nn = n * n
-    dead, anchored, turns = _prefix_pairs(first, second, n)
+    prefix_dead, alive, anchored, turns = _prefix_pairs(first, second, n)
     fitted = b_bar = q_bar = short = 0
     for stem, xs in stems:
-        rejects, stem_dead, entries = _stem_scan(stem, xs, first, anchored, turns, n)
-        stem_dead |= dead
+        rejects, dead, entries = _stem_scan(stem, xs, first, anchored, turns, n)
+        dead |= prefix_dead
         stem_or, stem_and = reduce(or_, stem, 0), reduce(and_, stem, top)
         # The fold rejects a 0 or all-ones row; every later row is at
         # least the first, so only the first can be 0.
         one_colour = not first or top in stem
         if memo is not None:
-            key = stem_or, stem_and, one_colour, stem_dead
+            key = stem_or, stem_and, one_colour, dead
             if key not in memo:
                 memo[key] = _stem_sums(
-                    stem_or, stem_and, one_colour, xs, stem_dead, n, weavable_mode
+                    stem_or, stem_and, one_colour, xs, dead, alive, n, weavable_mode
                 )
             (fitting, classes, weavable), quiet = memo[key]
             fitted += fitting
             if rejects == -1:
                 continue
-            xs = {x: xs[x] for x in entries if x in xs and not rejects >> x & 1}
-            for x in [*xs, *_select(words, rejects)]:
-                _, b, q = quiet.get(x, (0, 0, 0))
-                classes -= b
-                weavable -= q
+            # The last rows each x loses: all of them when the stem
+            # rejects x or a pair ties on it, its entry's rejects else.
+            lost = dict.fromkeys(_select(words, rejects), -1) if rejects else {}
+            tied = {}
+            for x, entry in entries.items():
+                if x in xs and x not in lost:
+                    lost[x] = entry[0] if len(entry) == 1 else -1
+                    if len(entry) > 1:
+                        tied[x] = xs[x]
+            for x, bits in lost.items():
+                c, v = quiet.get(x, (0, 0))
+                classes -= (c & bits).bit_count()
+                weavable -= (v & bits).bit_count()
             b_bar += classes
             q_bar += weavable
+            xs = tied
         for x, pool in xs.items():
             # A last row w completes the fold when it sets every bit the
             # head leaves clear and clears every bit it sets.  In
@@ -514,7 +549,7 @@ def _scan(n, weavable_mode, first, second, stems, emit, memo=None):
                 continue
             # Without an entry for x no image ties the head past the
             # stem: its classes are canonical, with stabilizer 1.
-            classes = lasts & ~stem_dead
+            classes = lasts & alive[x] & ~dead
             orbits = {}
             entry = entries.get(x)
             if entry:
@@ -533,6 +568,17 @@ def _scan(n, weavable_mode, first, second, stems, emit, memo=None):
             if emit is not None and classes:
                 emit(stem + (x,), classes, weavable, orbits)
     return fitted, b_bar, q_bar, short
+
+
+def _walk_stems(n, kernel, first, second, pool):
+    """The heads of the prefix's table of ``kernel`` in order, grouped by
+    stem as :func:`_scan` takes them, each stem with the dict of its rows
+    n - 2 to their table entries; and the number of tuples the table
+    holds."""
+    table = _symmetric_table(n, kernel, first, second, pool)
+    heads = itertools.groupby(sorted(table), lambda head: head[:-1])
+    stems = [(stem, {head[-1]: table[head] for head in group}) for stem, group in heads]
+    return stems, sum(map(int.bit_count, table.values()))
 
 
 def _census_loop(
@@ -563,16 +609,16 @@ def _census_loop(
     exactly the symmetric classes of the prefix, and the report counts
     them (see :class:`CountReport`).  ``"all"`` is the census: every
     head the row pool builds, each with the whole pool as its last rows.
-    Its ``m_bar`` and ``r_bar`` are the ``q_bar`` of the two walk runs
-    over the same shard, made once its own prefixes are done.
+    Its ``m_bar`` and ``r_bar`` are the ``q_bar`` of the walks of both
+    tables of each of its prefixes, made with the prefix.
 
     Every source hands :func:`_scan` its heads by stem, a head without
     its row n - 2: the census each stem the row pool builds with the
     pool's words as its rows n - 2, a walk its table's heads grouped by
     stem.  A run with no ``emit``, a count, gives the census a memo, so
-    that the quiet heads are summed once per stem fold, dead set and
-    prefix (:func:`_stem_sums`); its counts are those of a run that
-    scans every head.
+    that its heads are summed once per stem fold, dead set and prefix
+    (:func:`_stem_sums`) and only those that a pair ties on run through
+    the body; its counts are those of a run that scans every head.
     """
     n = cfg.n
     weavable_mode = cfg.mode == INTERWEAVINGS
@@ -583,6 +629,7 @@ def _census_loop(
     b_bar = q_bar = short = 0
     started = time.perf_counter()
 
+    symmetric = dict.fromkeys(_KERNELS, 0)  # m_bar and r_bar
     # The prefixes are dealt round-robin to the shards.
     for prefix, allowed in _prefixes(n, cfg.mode)[index::total]:
         first, second = prefix
@@ -590,13 +637,7 @@ def _census_loop(
         # A count sums the quiet heads of the census by stem fold.
         memo = {} if emit is None and kernel is None else None
         if kernel is not None:  # a walk: the table's heads in order, by stem
-            table = _symmetric_table(n, kernel, first, second, pool_bits)
-            heads = itertools.groupby(sorted(table), lambda head: head[:-1])
-            stems = [
-                (stem, {head[-1]: table[head] for head in group})
-                for stem, group in heads
-            ]
-            held = sum(map(int.bit_count, table.values()))
+            stems, held = _walk_stems(n, kernel, first, second, pool_bits)
         else:
             held = len(allowed) ** (n - 2)  # the tuples below
             # Below order 4 the prefix holds the stem and row n - 2 too.
@@ -604,6 +645,10 @@ def _census_loop(
             xs = dict.fromkeys(rows, pool_bits)
             mids = itertools.product(allowed, repeat=max(n - 4, 0))
             stems = ((prefix[: n - 2] + mid, xs) for mid in mids)
+            # The census's symmetric classes are its prefix's walks'.
+            for name, walked in _KERNELS.items():
+                walk = _walk_stems(n, walked, first, second, pool_bits)[0]
+                symmetric[name] += _scan(n, weavable_mode, first, second, walk, None)[2]
         fitted, classes, weavable, missing = _scan(
             n, weavable_mode, first, second, stems, emit, memo
         )
@@ -616,10 +661,9 @@ def _census_loop(
         if progress is not None:
             progress(candidates)
 
-    if kernel is None:  # the census's symmetric classes are its walks'
-        m_bar, r_bar = (_census_loop(cfg, wanted=name).q_bar for name in _KERNELS)
-    else:  # a walk counts its own symmetry only
-        m_bar, r_bar = (q_bar if name == wanted else 0 for name in _KERNELS)
+    if kernel is not None:  # a walk counts its own symmetry only
+        symmetric[wanted] = q_bar
+    m_bar, r_bar = symmetric.values()
     return CountReport(
         n=n,
         mode=cfg.mode,

@@ -12,11 +12,15 @@ loop walks each table's heads, each with its entry as its last rows,
 and its own scans keep the canonical weavable tuples, the symmetric
 classes.  At order 5 the interweaving prefixes' tables hold 2 275 and
 145 tuples.
-Both come from one walk, the cycles of the cell permutation "word
-kernel, then shift back", filed under their top rows and cached per
-order, kernel and shift.  The task of each (first, second) row prefix
-builds its tables from them row by row, as the census loop builds its
-tuples, not cached, and drops them after the prefix.
+Both come from the cycles of the cell permutation "word kernel, then
+shift back", filed under their top rows and cached per order, kernel
+and shift; the kernel sees each one-cell matrix once per order, and
+index arithmetic does the shifts.  Rows 0 and 1 of a fixed point tell
+which shifts admit a prefix, so an index per order and kernel lists
+each prefix's admitting shifts: at order 5, 167 of the 5 250 prefix,
+kernel and shift triples.  The task of each (first, second) row prefix
+builds its tables from those shifts row by row, as the census loop
+builds its tuples, not cached, and drops them after the prefix.
 """
 
 from __future__ import annotations
@@ -78,6 +82,22 @@ def _bit_tables(n):
 
 
 @lru_cache(maxsize=None)
+def _cells(n, kernel):
+    """Where the word kernel ``kernel`` sends each cell: for cell
+    ``n * i + j``, the bit j of row i, the index of the one cell set in
+    ``kernel`` of the matrix that sets that cell alone.  Each of the n**2
+    one-cell matrices goes through the kernel once per order and kernel;
+    the tuple is read-only.
+    """
+    image = []
+    for i, j in product(range(n), repeat=2):
+        words = kernel((0,) * i + (1 << j,) + (0,) * (n - 1 - i), n)
+        row = next(r for r, w in enumerate(words) if w)
+        image.append(n * row + words[row].bit_length() - 1)
+    return tuple(image)
+
+
+@lru_cache(maxsize=None)
 def _cycles(n, kernel, k, l):
     """The cycles of the cell permutation that applies ``kernel``, the
     word kernel :func:`~interweave.transforms.reverse_words` or
@@ -87,23 +107,69 @@ def _cycles(n, kernel, k, l):
 
     The matrices the kernel maps to their shift (k, l) are those the
     permutation fixes, the unions of its cycles (de Bruijn, "Polya's
-    theory of counting", 1964).  The cycles are walked on one-cell
-    matrices in row-major order, which meets each cycle first at its top
-    row.  Cached per order, kernel and shift; the tuples are read-only.
+    theory of counting", 1964).  The shift back moves row i to row
+    i + k and bit j to bit j + l, mod n, so the permutation is the
+    kernel's cell map (:func:`_cells`) and index arithmetic.  The cycles
+    are walked from the cells in row-major order, which meets each cycle
+    first at its top row.  Cached per order, kernel and shift; the
+    tuples are read-only.
     """
+    image = _cells(n, kernel)
     tops = tuple([] for _ in range(n))
-    seen = set()
-    for i, j in product(range(n), repeat=2):
-        cell = (0,) * i + (1 << j,) + (0,) * (n - 1 - i)
-        cycle = []
-        while cell not in seen:
-            seen.add(cell)
-            cycle.append(cell)
-            moved = rotate_words(kernel(cell, n), -l % n, n)
-            cell = moved[-k:] + moved[:-k]
-        if cycle:
-            tops[i].append(tuple(map(sum, zip(*cycle))))
+    seen = [False] * (n * n)
+    for start in range(n * n):
+        if seen[start]:
+            continue
+        words = [0] * n
+        cell = start
+        while not seen[cell]:
+            seen[cell] = True
+            i, j = divmod(cell, n)
+            words[i] |= 1 << j
+            i, j = divmod(image[cell], n)
+            cell = (i + k) % n * n + (j + l) % n
+        tops[start // n].append(tuple(words))
     return tuple(map(tuple, tops))
+
+
+def _unions(cycles, n):
+    """The row words of the union of each subset of ``cycles``."""
+    unions = [(0,) * n]
+    for c in cycles:
+        unions += [tuple(map(add, u, c)) for u in unions]
+    return unions
+
+
+@lru_cache(maxsize=None)
+def _admitting(n, kernel):
+    """The shifts that admit each prefix: for every (first, second) with a
+    necklace first row other than 0 and a second row that rotates to
+    nothing below it, the ``(tops, base)`` of each shift (k, l), in
+    order, that has a fixed point starting with those rows, where
+    ``tops`` is its :func:`_cycles` and ``base`` the row words of the
+    cycles filed under rows 0 and 1 that such a point sets.
+
+    A cycle filed under row 0 or 1 has a cell there, and rows 0 and 1 of
+    distinct cycles are disjoint, so each prefix a shift admits is set
+    by exactly one subset of those cycles: the index holds every subset
+    of the cycles filed under row 0 whose row 0 is a necklace, joined
+    with every subset of those filed under row 1.  Cached per order and
+    kernel; the dict and its tuples are read-only.
+    """
+    least = _shift_tables(n)[1]
+    index = {}
+    for k, l in product(range(n), repeat=2):
+        tops = _cycles(n, kernel, k, l)
+        twos = _unions(tops[1], n)
+        for ones in _unions(tops[0], n):
+            first = ones[0]
+            if not first or least[first] != first:
+                continue
+            for extra in twos:
+                if least[ones[1] + extra[1]] >= first:
+                    base = tuple(map(add, ones, extra))
+                    index.setdefault(base[:2], []).append((tops, base))
+    return {prefix: tuple(shifts) for prefix, shifts in index.items()}
 
 
 def _symmetric_table(n, kernel, first, second, pool):
@@ -125,35 +191,19 @@ def _symmetric_table(n, kernel, first, second, pool):
 
     Per shift, a fixed point is a union of the :func:`_cycles`, built
     row by row as the census loop builds its tuples (Read, "Every one a
-    winner", 1978).  Rows 0 and 1 decide each cycle filed under them:
-    set when its cells there are all set, clear when none is, and no
-    fixed point when some are.  Each later row adds the cycles filed
-    under it to every point so far; the row is then final, and the
-    points whose row is not in the pool are dropped.  The cycles filed
-    under the last row lie in it alone, so each point's last rows are
-    one bitset, worked out once per shift and value.  A zero first row
-    never weaves.  Not cached: a prefix's task builds its tables once.
+    winner", 1978).  Rows 0 and 1 decide the cycles filed under them, so
+    only the shifts that admit the prefix are visited, each from the
+    cycles it sets there (:func:`_admitting`).  Each later row adds the
+    cycles filed under it to every point so far; the row is then final,
+    and the points whose row is not in the pool are dropped.  The cycles
+    filed under the last row lie in it alone, so each point's last rows
+    are one bitset, worked out once per shift and value.  A zero first
+    row never weaves, and no shift admits it.  Not cached: a prefix's
+    task builds its tables once.
     """
-    if not first:
-        return {}
     table = {}
-    for k, l in product(range(n), repeat=2):
-        tops = _cycles(n, kernel, k, l)
-        # The cycles rows 0 and 1 set, those that meet them on set bits
-        # only.  A cycle that meets them on set and clear bits is left
-        # out, and so is a set bit of the prefix.  Most shifts miss the
-        # prefix, and rows 0 and 1 of the set cycles tell, before the
-        # cycles' later rows are summed.
-        cycles = tops[0] + tops[1]
-        ones = twos = 0
-        for c in cycles:
-            if not c[0] & ~first | c[1] & ~second:
-                ones += c[0]
-                twos += c[1]
-        if (ones, twos) != (first, second):
-            continue
-        met = [c for c in cycles if not c[0] & ~first | c[1] & ~second]
-        points = [tuple(map(sum, zip((0,) * n, *met)))]
+    for tops, base in _admitting(n, kernel).get((first, second), ()):
+        points = [base]
         for i in range(2, n - 1):
             for c in tops[i]:
                 points += [tuple(map(add, w, c)) for w in points]

@@ -471,6 +471,6 @@ def test_criterion_7_order_6_pinned_behind_limit_override(capsys):
             "verified via Burnside",
             pinned and guarded and override_available
             and b_bar_6_covered,
-            "full order-6 enumeration: 7-8 s wall, 13-16 CPU s with "
+            "full order-6 enumeration: 4-5 s wall, 8-10 CPU s with "
             "--jobs 2 on 2 CPUs; rerun by the CI tests job",
         )

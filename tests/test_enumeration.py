@@ -49,14 +49,16 @@ from interweave.enumeration import (
     _stem_scan,
 )
 from interweave.tables import (
+    _admitting,
     _bit_tables,
     _bitset,
+    _cells,
     _cycles,
     _select,
     _shift_tables,
     _symmetric_table,
 )
-from interweave.transforms import reverse_words, rotate90_words
+from interweave.transforms import reverse_words, rotate90_words, rotate_words
 
 SMALL_CENSUS = {
     # n: (q_count, b_bar, q_bar, m_bar, r_bar)
@@ -260,7 +262,7 @@ def test_last_row_bits_on_every_generated_shape(n):
             continue
         later = [w for w in words if least[w] >= first]
         for second in later:
-            _, anchored, turns = _prefix_pairs(first, second, n)
+            _, _, anchored, turns = _prefix_pairs(first, second, n)
             for stem, xs in _census_stems(first, second, later, n):
                 rejects = _stem_scan(stem, xs, first, anchored, turns, n)[0]
                 seen["stem"] += rejects == -1
@@ -305,12 +307,13 @@ def test_scan_halves_on_every_generated_shape(n):
     # Every tuple the generator could build, over the full word range,
     # one tuple at a time: the stem scan decides from the first n - 2
     # rows alone, for every row n - 2 and last row, and the tuple's
-    # class is its last row outside the dead sets and the entry's
-    # rejects of its row n - 2, with stabilizer 1 plus the entry's pairs
-    # that fix the last row.
+    # class is its last row that the prefix leaves alive after its row
+    # n - 2, outside the dead sets and the entry's rejects of its row
+    # n - 2, with stabilizer 1 plus the entry's pairs that fix the last
+    # row.
     least = _shift_tables(n)[1]
     words = range(1 << n)
-    decided = {"stem": 0, "last row": 0, "tied": 0}
+    decided = {"stem": 0, "last row": 0, "turn": 0, "tied": 0}
     cases = {"below": 0, "at": 0, "above": 0}
     for first in words:
         if least[first] != first:
@@ -321,7 +324,7 @@ def test_scan_halves_on_every_generated_shape(n):
             stem, x = head[:-1], head[-1]
             for w in later:
                 rows = head + (w,)
-                dead, anchored, turns = _prefix_pairs(first, rows[1], n)
+                dead, alive, anchored, turns = _prefix_pairs(first, rows[1], n)
                 scan = _stem_scan(stem, (x,), first, anchored, turns, n)
                 rejects, stem_dead, entries = scan
                 grid = oracle.words_to_grid(rows, n)
@@ -333,7 +336,10 @@ def test_scan_halves_on_every_generated_shape(n):
                 for case in _anchored_cases(stem, x, first, anchored, n):
                     cases[case] += 1
                 rejected, *tied = entries.get(x, [0])
-                if (dead | stem_dead | rejected) >> w & 1:
+                if not alive[x] >> w & 1:
+                    decided["turn"] += 1
+                    assert min(images) != grid, rows
+                elif (dead | stem_dead | rejected) >> w & 1:
                     decided["last row"] += 1
                     assert min(images) != grid, rows
                 else:
@@ -342,7 +348,8 @@ def test_scan_halves_on_every_generated_shape(n):
                     assert min(images) == grid, rows
                     assert n * n // stab == len(images), rows
     assert decided["last row"] > 0 and decided["tied"] > 0, decided
-    assert (decided["stem"] > 0) == (n > 2)  # order 2 has no head pair to compare
+    # Order 2 has no head pair to compare, and no turn pair.
+    assert (decided["stem"] > 0) == (decided["turn"] > 0) == (n > 2), decided
     assert cases["at"] > 0, cases
     assert (cases["below"] > 0) == (cases["above"] > 0) == (n > 3), cases
 
@@ -351,24 +358,39 @@ def test_order5_sends_few_heads_to_the_last_row_bits(monkeypatch):
     # Each stem decides the last rows of all its heads at once: the
     # order-5 census and its walks of the symmetric tables decide 2 480
     # stems, once each, of 55 701 heads, whether the run lists or
-    # counts, and past the stem their entries decide 9 792 heads; no
-    # head calls a scan of its own.
-    real = enumeration._stem_scan
-    calls = {"stem": 0, "heads": 0, "decided": 0}
+    # counts, and past the stem and the prefix their entries decide
+    # 7 838 heads; no head calls a scan of its own.  A count's census
+    # runs only the heads on which a pair ties through the loop body,
+    # 30 of them, and takes the others from its stem-fold memo.
+    real, real_scan = enumeration._stem_scan, enumeration._scan
+    calls = {"stem": 0, "heads": 0, "decided": 0, "body": 0}
+    counting = []  # whether each running scan is a count's census
 
     def stem_scan(stem, xs, *args):
         rejects, dead, entries = real(stem, xs, *args)
+        decided = [x for x in entries if x in xs and not rejects >> x & 1]
         calls["stem"] += 1
         calls["heads"] += len(xs)
-        calls["decided"] += sum(x in xs and not rejects >> x & 1 for x in entries)
+        calls["decided"] += len(decided)
+        if counting[-1]:
+            calls["body"] += sum(len(entries[x]) > 1 for x in decided)
         return rejects, dead, entries
 
+    def scan(n, weavable_mode, first, second, stems, emit, memo=None):
+        counting.append(memo is not None)
+        try:
+            return real_scan(n, weavable_mode, first, second, stems, emit, memo)
+        finally:
+            counting.pop()
+
     monkeypatch.setattr(enumeration, "_stem_scan", stem_scan)
+    monkeypatch.setattr(enumeration, "_scan", scan)
     for emit in (None, lambda *a: None):
-        calls.update(stem=0, heads=0, decided=0)
+        calls.update(stem=0, heads=0, decided=0, body=0)
         report = _census_loop(EnumConfig(5), emit)
         assert (report.q_bar, report.rejected_minimality) == (705366, 309559)
-        assert calls == {"stem": 2480, "heads": 55701, "decided": 9792}
+        body = 30 if emit is None else 0
+        assert calls == {"stem": 2480, "heads": 55701, "decided": 7838, "body": body}
 
 
 def test_order6_prefixes_match_brute_force():
@@ -385,7 +407,7 @@ def test_order6_prefixes_match_brute_force():
     assert smallest == list(range(378, 384))
     periodic = [p for p, (prefix, _) in enumerate(prefixes) if prefix[0] == 27]
     assert periodic == list(range(369, 378))
-    anchoring = [p for p in periodic if _prefix_pairs(*prefixes[p][0], 6)[1]]
+    anchoring = [p for p in periodic if _prefix_pairs(*prefixes[p][0], 6)[2]]
     assert anchoring == [369, 371, 373]
     classes = 0
     for p in periodic + smallest:
@@ -430,7 +452,7 @@ def test_stem_scan_decides_order5_rejects_once_per_stem(monkeypatch):
     def counted(n, weavable_mode, first, second, stems, *rest):
         nonlocal decided
         stems = list(stems)
-        _, anchored, turns = _prefix_pairs(first, second, n)
+        _, _, anchored, turns = _prefix_pairs(first, second, n)
         for stem, xs in stems:
             rejects = _stem_scan(stem, xs, first, anchored, turns, n)[0]
             decided += sum(
@@ -505,10 +527,12 @@ STEM_SUMS = {
 @pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
 def test_count_sums_quiet_heads_by_stem_fold(monkeypatch, mode):
     # A count sums the heads of every stem once per stem fold, dead set
-    # and prefix, as if no pair decided them past the stem, and takes
-    # off the rows n - 2 that the stem rejects or decides; a run that
-    # emits and a walk run every head through the body.  The sums are
-    # the body's own: on the quiet heads, and the fitting rows of all.
+    # and prefix, as if no pair decided them past the prefix and the
+    # stem, and takes off the rows n - 2 that the stem rejects and the
+    # last rows that the entries of the others reject; a run that emits
+    # and a walk run every head through the body.  The sums are the
+    # body's own: on the quiet heads, on the decided heads less their
+    # entries' rejects, and the fitting rows of all.
     real = enumeration._stem_sums
     folds = []
 
@@ -531,27 +555,34 @@ def test_count_sums_quiet_heads_by_stem_fold(monkeypatch, mode):
             assert len(set(folds)) == len(folds), (n, p)
             summed += len(folds)
             folds.clear()
-            dead, anchored, turns = _prefix_pairs(first, second, n)
+            dead, alive, anchored, turns = _prefix_pairs(first, second, n)
             for stem, xs in _census_stems(first, second, later, n):
                 scan = _stem_scan(stem, xs, first, anchored, turns, n)
                 rejects, stem_dead, entries = scan
                 top = (1 << n) - 1
-                ored, anded = reduce(or_, stem), reduce(and_, stem)
+                fold = reduce(or_, stem), reduce(and_, stem), not first or top in stem
                 sums, per_x = real(
-                    ored, anded, not first or top in stem, xs, dead | stem_dead, n,
-                    weavable_mode,
+                    *fold, xs, dead | stem_dead, alive, n, weavable_mode
                 )
                 # Every head counts its fitting rows, a rejected one too.
                 body = _scan(n, weavable_mode, first, second, [(stem, xs)], None)
                 assert sums[0] == body[0] or not weavable_mode, stem
-                quiet = {
-                    x: pool for x, pool in xs.items()
-                    if x not in entries and not rejects >> x & 1
-                }
+                kept = {x: xs[x] for x in xs if not rejects >> x & 1}
+                quiet = {x: kept.pop(x) for x in xs if x in kept and x not in entries}
+                sums = real(*fold, quiet, dead | stem_dead, alive, n, weavable_mode)[0]
                 body = _scan(n, weavable_mode, first, second, [(stem, quiet)], None)
-                kept = tuple(map(sum, zip((0, 0, 0), *[per_x[x] for x in quiet])))
-                assert kept[1:] + (0,) == body[1:], stem
-                assert kept[0] == body[0] or not weavable_mode, stem
+                assert sums[1:] + (0,) == body[1:], stem
+                assert sums[0] == body[0] or not weavable_mode, stem
+                # The decided heads on which no pair ties: the memo's
+                # classes less their entries' rejects.
+                untied = {x: pool for x, pool in kept.items() if len(entries[x]) == 1}
+                body = _scan(n, weavable_mode, first, second, [(stem, untied)], None)
+                classes = weavable = 0
+                for x in untied:
+                    c, v = per_x[x]
+                    classes += (c & ~entries[x][0]).bit_count()
+                    weavable += (v & ~entries[x][0]).bit_count()
+                assert (classes, weavable, 0) == body[1:], stem
         assert summed == STEM_SUMS[n, mode]
 
 
@@ -749,12 +780,93 @@ def test_cycles_partition_the_cells_under_their_top_rows(n):
         assert cells == [(1 << n) - 1] * n
 
 
+def _walked_cycles(n, kernel, k, l):
+    """The cycles of "kernel, then shift back by (k, l)", walked on the
+    one-cell matrices themselves: each cell goes through the kernel and
+    the word rotation of every shift, as the reference for
+    ``_cycles``."""
+    tops = tuple([] for _ in range(n))
+    seen = set()
+    for i, j in itertools.product(range(n), repeat=2):
+        cell = (0,) * i + (1 << j,) + (0,) * (n - 1 - i)
+        cycle = []
+        while cell not in seen:
+            seen.add(cell)
+            cycle.append(cell)
+            moved = rotate_words(kernel(cell, n), -l % n, n)
+            cell = moved[-k:] + moved[:-k]
+        if cycle:
+            tops[i].append(tuple(map(sum, zip(*cycle))))
+    return tuple(map(tuple, tops))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cycles_equal_the_walk_over_one_cell_matrices(n):
+    for (kernel, _), k, l in itertools.product(SYMMETRIES, range(n), range(n)):
+        assert _cycles(n, kernel, k, l) == _walked_cycles(n, kernel, k, l), (k, l)
+
+
+def _all_shift_table(n, kernel, first, second, pool):
+    """The symmetric table of the prefix, built over all n**2 shifts, each
+    tested on the cycles filed under rows 0 and 1, as the reference for
+    ``_symmetric_table``."""
+    if not first:
+        return {}
+    table = {}
+    for k, l in itertools.product(range(n), repeat=2):
+        tops = _cycles(n, kernel, k, l)
+        cycles = tops[0] + tops[1]
+        met = [c for c in cycles if not c[0] & ~first | c[1] & ~second]
+        if (sum(c[0] for c in met), sum(c[1] for c in met)) != (first, second):
+            continue
+        points = [tuple(map(sum, zip((0,) * n, *met)))]
+        for i in range(2, n - 1):
+            for c in tops[i]:
+                points += [tuple(a + b for a, b in zip(w, c)) for w in points]
+            points = [w for w in points if pool >> w[i] & 1]
+        lasts = [0]
+        for c in tops[-1] if n > 2 else ():
+            lasts += [x + c[-1] for x in lasts]
+        for w in points:
+            bits = _bitset(w[-1] + x for x in lasts) & pool
+            if bits:
+                table[w[:-1]] = table.get(w[:-1], 0) | bits
+    return table
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_symmetric_tables_equal_the_all_shift_tables(n):
+    # Each table visits only the shifts that admit its prefix, and holds
+    # what a visit of all n**2 shifts finds, for every prefix and pool of
+    # both modes.
+    for mode, (kernel, _) in itertools.product(MODES, SYMMETRIES):
+        for prefix, pool in _prefix_pools(n, mode=mode):
+            expected = _all_shift_table(n, kernel, *prefix, pool)
+            assert _symmetric_table(n, kernel, *prefix, pool) == expected, prefix
+
+
+def test_order5_tables_visit_few_shifts():
+    # The 105 order-5 prefixes' tables of both symmetries visit 167
+    # shifts, those with a fixed point that starts with the prefix, of
+    # the 5 250 (prefix, symmetry, shift) triples.
+    visits = 0
+    for kernel, _ in SYMMETRIES:
+        shifts = [_cycles(5, kernel, k, l) for k, l in itertools.product(range(5), repeat=2)]
+        for prefix, _ in _prefixes(5, INTERWEAVINGS):
+            admitted = _admitting(5, kernel).get(prefix, ())
+            assert all(base[:2] == prefix and tops in shifts for tops, base in admitted)
+            visits += len(admitted)
+    assert visits == 167
+
+
 def test_tables_are_built_on_first_use_and_read_only():
     probe = (
         "import interweave.cli\n"
-        "from interweave.tables import _bit_tables, _cycles, _shift_tables\n"
+        "from interweave.tables import (\n"
+        "    _admitting, _bit_tables, _cells, _cycles, _shift_tables,\n"
+        ")\n"
         "print(*(f.cache_info().currsize for f in"
-        " (_shift_tables, _bit_tables, _cycles)))\n"
+        " (_shift_tables, _bit_tables, _cells, _cycles, _admitting)))\n"
     )
     src = os.path.dirname(os.path.dirname(enumeration.__file__))
     proc = subprocess.run(
@@ -765,11 +877,17 @@ def test_tables_are_built_on_first_use_and_read_only():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0"]
+    assert proc.stdout.split() == ["0"] * 5
     assert _shift_tables(5) is _shift_tables(5)
     assert _bit_tables(5) is _bit_tables(5)
+    assert _cells(5, reverse_words) is _cells(5, reverse_words)
     assert _cycles(5, rotate90_words, 1, 2) is _cycles(5, rotate90_words, 1, 2)
-    for table in (*_shift_tables(5), *_bit_tables(5), _cycles(5, reverse_words, 0, 0)):
+    assert _admitting(5, rotate90_words) is _admitting(5, rotate90_words)
+    tables = (
+        *_shift_tables(5), *_bit_tables(5), _cells(5, reverse_words),
+        _cycles(5, reverse_words, 0, 0), *_admitting(5, reverse_words).values(),
+    )
+    for table in tables:
         assert isinstance(table, tuple)
     for n, (kernel, _) in itertools.product(range(2, 7), SYMMETRIES):
         for k, l in itertools.product(range(n), repeat=2):
