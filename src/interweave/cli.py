@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--limit-override",
             action="store_true",
-            help="allow order 6, a long-running job (see the README)",
+            help="allow order 6 (see the README)",
         )
         p.add_argument(
             "--progress",

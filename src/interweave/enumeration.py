@@ -50,18 +50,22 @@ and no head runs a scan of its own.  At order 5 the census decides
 heads with weavable last rows (127 666 of the 309 559 non-canonical
 candidates) and decide 7 700 more past the prefix and the stem.
 
-A count runs almost no head through the loop body.  A head that its
-stem neither rejects nor decides past the prefix is quiet: its classes
-are the last rows the prefix leaves alive outside the stem's dead set,
-each with orbit n**2, and its counts follow from the fold of its rows.
-A run that emits nothing keeps the classes of every x of a stem once
-per stem fold, dead set and prefix (:func:`_stem_sums`), as bitsets,
-and takes off the x the stem rejects and, for the x it decides, the
-classes their entries reject.  Only the heads that a pair ties on run
-through the body, for their orbits; a stem rejected whole adds only
-its fitting rows.  At order 5 a count takes 47 229 of the 55 125 heads
-from 736 stem folds, 7 670 of them less their entries' rejects, and
-runs 30 through the body.
+Every census run reads its heads' classes per stem fold.  A head that
+its stem neither rejects nor decides past the prefix is quiet: its
+classes are the last rows the prefix leaves alive outside the stem's
+dead set, each with orbit n**2, and its weavable classes follow from
+the fold of its rows.  :func:`_stem_sums`, the one place the fold is
+written, keeps the classes of every x of a stem as bitsets: the census,
+a count and a listing alike, keeps them once per stem fold, dead set
+and prefix, and a walk, whose stems each have rows of their own, once
+per stem.  Each stem takes off the x it rejects and, for the x it
+decides, the classes their entries reject; a stem rejected whole adds
+only its fitting rows.  The loop body runs only for orbits and
+listing: over the heads that a pair ties on, and in a listing over
+every head the stem does not reject.  At order 5 the census takes the
+47 229 heads its stems do not reject, of 55 125, from 736 stem folds,
+7 700 of them less their entries' rejects; a count runs the 30 that a
+pair ties on through the body, a listing all 47 229.
 
 The symmetric classes are found one way: by walking tables, not by
 testing each class.  A class is self-mirror (rotation-stable) exactly
@@ -86,8 +90,7 @@ both walks before its census.  A ``mirror`` or ``rotation`` listing is
 one walk run.  At order 5 the walks decide 205 stems of 576 heads and
 examine the tables' 2 275 and 145 tuples for the 1 302 self-mirror and
 74 rotation-stable classes of the 705 366; at order 6 they list the
-586 060 self-mirror and 902 rotation-stable classes in about a second,
-where the census takes minutes.
+586 060 self-mirror and 902 rotation-stable classes in about a second.
 
 The minimality scan doubles as a stabilizer count: the shift pairs
 whose image equals the matrix itself form its stabilizer, and the orbit
@@ -109,13 +112,12 @@ n**2 pairs.  Exact integer arithmetic throughout — the ``2**(n*n)``
 terms outgrow 64 bits from order 8 on.
 
 Enumeration scales as roughly ``2**(n*(n-1))`` candidates.  Order 6,
-2 105 231 424 candidates, is a long-running job (the README records its
-last measured run) and must be requested explicitly via
-``limit_override``; order 7, about 1.2e13 candidates, is out of reach
-and refused.  The cap and the override hold for the symmetric walks
-too, although those take seconds at order 6: listing order 7 would
-need caps of their own per filter, a change to the command line's
-contract.  Shards split the work by row prefix: the units are the
+2 105 231 424 candidates, must be requested explicitly via
+``limit_override`` (the README records its last measured run); order
+7, about 1.2e13 candidates, is refused.  The cap and the override hold
+for the symmetric walks too: listing order 7 would need caps of their
+own per filter, a change to the command line's contract.  Shards split
+the work by row prefix: the units are the
 (first, second) row pairs that pass the tests above, in lexicographic
 order (105 at order 5), and shard i of t takes every t-th of them from
 the i-th on.  Dealing them round-robin balances the shards without a
@@ -173,9 +175,8 @@ LIST_FILTERS = ("all", "mirror", "rotation")
 _KERNELS = {"mirror": reverse_words, "rotation": rotate90_words}
 
 MAX_ENUM_ORDER = 6
-# Orders below this run in seconds; a full order-6 enumeration,
-# 2 105 231 424 candidates, is a long-running job and must be asked for
-# explicitly.
+# A full order-6 enumeration, 2 105 231 424 candidates, must be asked
+# for explicitly.
 OVERRIDE_ORDER = 6
 
 MAX_BURNSIDE_ORDER = 16
@@ -208,8 +209,8 @@ class EnumConfig:
         object.__setattr__(self, "shard", shard)
         if self.n >= OVERRIDE_ORDER and not self.limit_override:
             raise ValueError(
-                f"order {self.n} enumeration is a long-running job; "
-                "pass limit_override to run it anyway"
+                f"order {self.n} enumeration must be asked for explicitly; "
+                "pass limit_override to run it"
             )
 
 
@@ -423,27 +424,30 @@ def _stem_scan(stem, xs, first, anchored, turns, n):
 
 
 def _stem_sums(ored, anded, one_colour, xs, dead, alive, n, weavable_mode):
-    """The body's sums over the heads ``stem + (x,)`` of a stem with the
-    fold ``ored`` and ``anded`` (``one_colour`` when it holds a 0 or
-    all-ones row), for the rows x and pools of the dict ``xs``, were no
-    pair to decide any of them past the prefix and the stem's dead set:
-    ``(sums, quiet)``, where ``quiet[x]`` is the pair of bitsets of the
-    classes and the weavable classes of x, and ``sums`` is ``(fitted,
-    b_bar, q_bar)`` summed over xs.
+    """The classes of the heads ``stem + (x,)`` of a stem with the fold
+    ``ored`` and ``anded`` (``one_colour`` when it holds a 0 or all-ones
+    row), for the rows x and pools of the dict ``xs``, were no pair to
+    decide any of them past the prefix and the stem's dead set:
+    ``(sums, quiet, held)``, where ``quiet[x]`` is the pair of bitsets of
+    the classes and the weavable classes of x, ``sums`` is ``(fitted,
+    b_bar, q_bar)`` summed over xs, and ``held`` is the bitset of xs.
 
     Such a head's classes are its last rows outside ``dead`` that the
-    prefix leaves ``alive``, each with orbit n**2, and its weavable
-    classes are those among them that complete the fold of its rows.
-    They depend only on the stem's fold, on ``dead`` and on x, so a
-    count sums them once per stem fold, dead set and prefix, and takes
-    off what a stem rejects or decides.
+    prefix leaves ``alive``, and its weavable classes are those among
+    them that complete the fold of its rows.  This is the one place the
+    census folds a head's rows: the classes depend only on the stem's
+    fold, on ``dead`` and on x, so the census sums them once per stem
+    fold, dead set and prefix, and a walk once per stem.
     """
     top = (1 << n) - 1
     covers, misses = _bit_tables(n)[:2]
-    two_colour = (1 << top) - 2
-    fitted = b_bar = q_bar = 0
+    two_colour = (1 << top) - 2  # the words 1 .. top - 1
+    fitted = b_bar = q_bar = held = 0
     quiet = {}
     for x, pool in xs.items():
+        held |= 1 << x
+        # A last row w completes the fold when it sets every bit the
+        # head leaves clear and clears every bit it sets.
         fits = covers[top & ~(ored | x)] & misses[anded & x] & pool
         if weavable_mode:
             # The pool holds no 0 or all-ones word: every class weaves.
@@ -456,7 +460,7 @@ def _stem_sums(ored, anded, one_colour, xs, dead, alive, n, weavable_mode):
             q_bar += weavable.bit_count()
         b_bar += classes.bit_count()
         quiet[x] = classes, weavable
-    return (fitted, b_bar, b_bar if weavable_mode else q_bar), quiet
+    return (fitted, b_bar, b_bar if weavable_mode else q_bar), quiet, held
 
 
 def _filer(found):
@@ -470,32 +474,31 @@ def _filer(found):
     return emit
 
 
-def _scan(n, weavable_mode, first, second, stems, emit, memo=None):
+def _scan(n, weavable_mode, first, pairs, stems, emit, memo=None):
     """The census loop's one body, run over the heads ``stem + (x,)`` of
-    the prefix (first, second): the stems in order, each with the dict
-    of its rows n - 2, ascending, to the bitsets of the last rows to try
+    the prefix with first row ``first`` and the decided ``pairs``
+    (:func:`_prefix_pairs`): the stems in order, each with the dict of
+    its rows n - 2, ascending, to the bitsets of the last rows to try
     after them.  Returns ``(fitted, b_bar, q_bar, short)``: the tuples
     whose head's fold they complete (read in interweavings mode only),
     the classes, the weavable classes and how far the weavable classes'
     orbits fall short of n**2, summed.  Each head with classes goes to
     ``emit`` (if given).
 
-    Each stem is decided once by :func:`_stem_scan`, and a head's
-    classes are its last rows that the prefix leaves alive, outside the
-    stem's dead set and its entry's rejects, with stabilizer 1 plus the
-    entry's pairs that fix them.  A count of the census, whose stems all
-    share one dict of rows, passes a ``memo`` dict: a stem then takes
-    the sums of its heads from the memo, by its fold and dead set
-    (:func:`_stem_sums`), less the classes of the x it rejects and those
-    its entries reject, and runs the body only over the x on which a
-    pair ties.  A stem rejected whole adds only its fitting rows.
+    Each stem is decided once by :func:`_stem_scan`, and its heads'
+    classes come from :func:`_stem_sums`: from ``memo`` by stem fold and
+    dead set when the stems share one dict of rows (the census), per
+    stem otherwise (a walk).  The stem takes off the x it rejects and
+    the last rows its entries reject, and a stem rejected whole adds
+    only its fitting rows.  A head's stabilizer is 1 plus its entry's
+    pairs that fix a class, so the body runs only for orbits and
+    ``emit``: over the x on which a pair ties, and with ``emit`` over
+    every x the stem does not reject.
     """
     top = (1 << n) - 1
     words = range(1 << n)
-    covers, misses = _bit_tables(n)[:2]
-    two_colour = (1 << top) - 2  # the words 1 .. top - 1
     nn = n * n
-    prefix_dead, alive, anchored, turns = _prefix_pairs(first, second, n)
+    prefix_dead, alive, anchored, turns = pairs
     fitted = b_bar = q_bar = short = 0
     for stem, xs in stems:
         rejects, dead, entries = _stem_scan(stem, xs, first, anchored, turns, n)
@@ -504,69 +507,51 @@ def _scan(n, weavable_mode, first, second, stems, emit, memo=None):
         # The fold rejects a 0 or all-ones row; every later row is at
         # least the first, so only the first can be 0.
         one_colour = not first or top in stem
-        if memo is not None:
-            key = stem_or, stem_and, one_colour, dead
-            if key not in memo:
-                memo[key] = _stem_sums(
-                    stem_or, stem_and, one_colour, xs, dead, alive, n, weavable_mode
-                )
-            (fitting, classes, weavable), quiet = memo[key]
-            fitted += fitting
-            if rejects == -1:
-                continue
-            # The last rows each x loses: all of them when the stem
-            # rejects x or a pair ties on it, its entry's rejects else.
-            lost = dict.fromkeys(_select(words, rejects), -1) if rejects else {}
-            tied = {}
-            for x, entry in entries.items():
-                if x in xs and x not in lost:
-                    lost[x] = entry[0] if len(entry) == 1 else -1
-                    if len(entry) > 1:
-                        tied[x] = xs[x]
-            for x, bits in lost.items():
-                c, v = quiet.get(x, (0, 0))
-                classes -= (c & bits).bit_count()
-                weavable -= (v & bits).bit_count()
-            b_bar += classes
-            q_bar += weavable
-            xs = tied
-        for x, pool in xs.items():
-            # A last row w completes the fold when it sets every bit the
-            # head leaves clear and clears every bit it sets.  In
-            # interweavings mode the pool holds no 0 or all-ones word.
-            fits = covers[top & ~(stem_or | x)] & misses[stem_and & x] & pool
-            if weavable_mode:
-                lasts = fits
-                if memo is None:  # a count takes them from the memo
-                    fitted += fits.bit_count()
-                if not lasts:
-                    continue
-            else:
-                lasts = pool
-                # So does a 0 or all-ones row n - 2 or last row.
-                fits = fits & two_colour if not one_colour and x != top else 0
+        key = stem_or, stem_and, one_colour, dead
+        sums = None if memo is None else memo.get(key)
+        if sums is None:
+            sums = _stem_sums(
+                stem_or, stem_and, one_colour, xs, dead, alive, n, weavable_mode
+            )
+            if memo is not None:
+                memo[key] = sums
+        (fitting, classes, weavable), quiet, held = sums
+        fitted += fitting
+        if rejects == -1:
+            continue
+        # Take off the x the stem rejects, and the last rows the entries
+        # of the others reject.
+        rejected = rejects & held
+        for x in _select(words, rejected) if rejected else ():
+            c, v = quiet[x]
+            classes -= c.bit_count()
+            weavable -= v.bit_count()
+        kept = held & ~rejects
+        tied = []
+        for x, entry in entries.items():
+            if kept >> x & 1:
+                c, v = quiet[x]
+                classes -= (c & entry[0]).bit_count()
+                weavable -= (v & entry[0]).bit_count()
+                if len(entry) > 1:
+                    tied.append(x)
+        b_bar += classes
+        q_bar += weavable
+        for x in (tied if emit is None else xs):
             if rejects >> x & 1:
                 continue
-            # Without an entry for x no image ties the head past the
-            # stem: its classes are canonical, with stabilizer 1.
-            classes = lasts & alive[x] & ~dead
+            c, v = quiet[x]
+            entry = entries.get(x, (0,))
+            c &= ~entry[0]
+            v &= ~entry[0]
             orbits = {}
-            entry = entries.get(x)
-            if entry:
-                classes &= ~entry[0]
-                if len(entry) > 1:  # stabilizer 1 and the pairs that fix w
-                    fixed = [_select(words, tie & classes) for tie in entry[1:]]
-                    stabs = Counter(itertools.chain(*fixed))
-                    orbits = {w: nn // (1 + stab) for w, stab in stabs.items()}
-            b_bar += classes.bit_count()
-            weavable = classes & fits
-            if weavable:
-                q_bar += weavable.bit_count()
-                for w, size in orbits.items():
-                    if weavable >> w & 1:
-                        short += nn - size
-            if emit is not None and classes:
-                emit(stem + (x,), classes, weavable, orbits)
+            if len(entry) > 1:  # stabilizer 1 and the pairs that fix w
+                fixed = [_select(words, tie & c) for tie in entry[1:]]
+                stabs = Counter(itertools.chain(*fixed))
+                orbits = {w: nn // (1 + stab) for w, stab in stabs.items()}
+                short += sum(nn - size for w, size in orbits.items() if v >> w & 1)
+            if emit is not None and c:
+                emit(stem + (x,), c, v, orbits)
     return fitted, b_bar, q_bar, short
 
 
@@ -615,10 +600,11 @@ def _census_loop(
     Every source hands :func:`_scan` its heads by stem, a head without
     its row n - 2: the census each stem the row pool builds with the
     pool's words as its rows n - 2, a walk its table's heads grouped by
-    stem.  A run with no ``emit``, a count, gives the census a memo, so
-    that its heads are summed once per stem fold, dead set and prefix
-    (:func:`_stem_sums`) and only those that a pair ties on run through
-    the body; its counts are those of a run that scans every head.
+    stem.  The census, a count or a listing, passes a memo, so that its
+    heads' classes are summed once per stem fold, dead set and prefix
+    (:func:`_stem_sums`); a walk sums them per stem.  The prefix's pairs
+    (:func:`_prefix_pairs`) are decided once, for the census and both its
+    walks.
     """
     n = cfg.n
     weavable_mode = cfg.mode == INTERWEAVINGS
@@ -634,8 +620,10 @@ def _census_loop(
     for prefix, allowed in _prefixes(n, cfg.mode)[index::total]:
         first, second = prefix
         pool_bits = 1 << second if n == 2 else _bitset(allowed)
-        # A count sums the quiet heads of the census by stem fold.
-        memo = {} if emit is None and kernel is None else None
+        pairs = _prefix_pairs(first, second, n)
+        # The census sums its heads by stem fold; a walk's stems each
+        # have rows of their own.
+        memo = {} if kernel is None else None
         if kernel is not None:  # a walk: the table's heads in order, by stem
             stems, held = _walk_stems(n, kernel, first, second, pool_bits)
         else:
@@ -648,9 +636,9 @@ def _census_loop(
             # The census's symmetric classes are its prefix's walks'.
             for name, walked in _KERNELS.items():
                 walk = _walk_stems(n, walked, first, second, pool_bits)[0]
-                symmetric[name] += _scan(n, weavable_mode, first, second, walk, None)[2]
+                symmetric[name] += _scan(n, weavable_mode, first, pairs, walk, None)[2]
         fitted, classes, weavable, missing = _scan(
-            n, weavable_mode, first, second, stems, emit, memo
+            n, weavable_mode, first, pairs, stems, emit, memo
         )
         candidates += held
         # Every tuple is a weavability reject until its head fits it.

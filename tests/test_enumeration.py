@@ -262,7 +262,8 @@ def test_last_row_bits_on_every_generated_shape(n):
             continue
         later = [w for w in words if least[w] >= first]
         for second in later:
-            _, _, anchored, turns = _prefix_pairs(first, second, n)
+            pairs = _prefix_pairs(first, second, n)
+            anchored, turns = pairs[2:]
             for stem, xs in _census_stems(first, second, later, n):
                 rejects = _stem_scan(stem, xs, first, anchored, turns, n)[0]
                 seen["stem"] += rejects == -1
@@ -272,7 +273,7 @@ def test_last_row_bits_on_every_generated_shape(n):
                 def emit(head, classes, weavable, orbits):
                     found[head] = classes, orbits
 
-                _scan(n, False, first, second, [(stem, xs)], emit)
+                _scan(n, False, first, pairs, [(stem, xs)], emit)
                 for x, pool in xs.items():
                     head = stem + (x,)
                     classes, orbits = found.get(head, (0, {}))
@@ -376,10 +377,10 @@ def test_order5_sends_few_heads_to_the_last_row_bits(monkeypatch):
             calls["body"] += sum(len(entries[x]) > 1 for x in decided)
         return rejects, dead, entries
 
-    def scan(n, weavable_mode, first, second, stems, emit, memo=None):
-        counting.append(memo is not None)
+    def scan(n, weavable_mode, first, pairs, stems, emit, memo=None):
+        counting.append(emit is None and memo is not None)
         try:
-            return real_scan(n, weavable_mode, first, second, stems, emit, memo)
+            return real_scan(n, weavable_mode, first, pairs, stems, emit, memo)
         finally:
             counting.pop()
 
@@ -449,10 +450,10 @@ def test_stem_scan_decides_order5_rejects_once_per_stem(monkeypatch):
     least = _shift_tables(5)[1]
     decided = 0
 
-    def counted(n, weavable_mode, first, second, stems, *rest):
+    def counted(n, weavable_mode, first, pairs, stems, *rest):
         nonlocal decided
         stems = list(stems)
-        _, _, anchored, turns = _prefix_pairs(first, second, n)
+        anchored, turns = pairs[2:]
         for stem, xs in stems:
             rejects = _stem_scan(stem, xs, first, anchored, turns, n)[0]
             decided += sum(
@@ -462,7 +463,7 @@ def test_stem_scan_decides_order5_rejects_once_per_stem(monkeypatch):
                 for w in range(first, 1 << n)
                 if least[w] >= first
             )
-        return real(n, weavable_mode, first, second, stems, *rest)
+        return real(n, weavable_mode, first, pairs, stems, *rest)
 
     monkeypatch.setattr(enumeration, "_scan", counted)
     report = enumerate_classes(EnumConfig(5))
@@ -485,8 +486,9 @@ def _is_quiet(head, n):
 
 
 def _assert_count_equals_scans(cfg):
-    # A count adds up the quiet heads by stem; any run with an emit
-    # scans every head.  Everything but the time must agree.
+    # A count runs only the tied heads through the body; any run with an
+    # emit runs every head the stems keep.  Everything but the time must
+    # agree.
     count = replace(_census_loop(cfg), elapsed=0.0)
     assert count == replace(_census_loop(cfg, lambda *a: None), elapsed=0.0), cfg
 
@@ -514,7 +516,43 @@ def test_count_of_quiet_order6_prefixes_equals_their_scans():
         _assert_count_equals_scans(replace(cfg, shard=Shard(p, len(prefixes))))
 
 
-# Stem folds and dead sets a count sums, over its prefixes, per order
+@pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
+@pytest.mark.parametrize("n", (3, 4))
+def test_stem_sums_are_the_alive_weavable_pool_rows(n, mode):
+    # Checked against the library's weavability fold: for every stem the
+    # census builds and every row n - 2, x, each pool word w is a class
+    # exactly when the prefix leaves it alive after x outside the dead
+    # sets, and a weavable class exactly when the tuple weaves too.  The
+    # sums count the bits, and in interweavings mode the fitting rows
+    # are the pool words that complete a weavable tuple.
+    weavable_mode = mode == INTERWEAVINGS
+    top = (1 << n) - 1
+    for (first, second), later in _prefixes(n, mode):
+        dead, alive, anchored, turns = _prefix_pairs(first, second, n)
+        for stem, xs in _census_stems(first, second, later, n):
+            stem_dead = _stem_scan(stem, xs, first, anchored, turns, n)[1]
+            fold = reduce(or_, stem), reduce(and_, stem), not first or top in stem
+            sums, quiet, held = enumeration._stem_sums(
+                *fold, xs, dead | stem_dead, alive, n, weavable_mode
+            )
+            assert quiet.keys() == xs.keys() and held == _bitset(xs)
+            fitted = b_bar = q_bar = 0
+            for x, pool in xs.items():
+                classes = weavable = 0
+                for w in _select(range(1 << n), pool):
+                    weaves = is_weavable(BitMatrix(stem + (x, w)))
+                    fitted += weaves
+                    kept = alive[x] >> w & 1 and not (dead | stem_dead) >> w & 1
+                    if kept and (weaves or not weavable_mode):
+                        classes |= 1 << w
+                        weavable |= weaves << w
+                assert quiet[x] == (classes, weavable), (stem, x)
+                b_bar += classes.bit_count()
+                q_bar += weavable.bit_count()
+            assert sums == (fitted if weavable_mode else 0, b_bar, q_bar), stem
+
+
+# Stem folds and dead sets the census sums, over its prefixes, per order
 # and mode.
 STEM_SUMS = {
     (4, INTERWEAVINGS): 34,
@@ -526,63 +564,44 @@ STEM_SUMS = {
 
 @pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
 def test_count_sums_quiet_heads_by_stem_fold(monkeypatch, mode):
-    # A count sums the heads of every stem once per stem fold, dead set
-    # and prefix, as if no pair decided them past the prefix and the
-    # stem, and takes off the rows n - 2 that the stem rejects and the
-    # last rows that the entries of the others reject; a run that emits
-    # and a walk run every head through the body.  The sums are the
-    # body's own: on the quiet heads, on the decided heads less their
-    # entries' rejects, and the fitting rows of all.
-    real = enumeration._stem_sums
+    # The census sums the heads of every stem once per stem fold, dead
+    # set and prefix, a count and a listing alike, and the walks of its
+    # symmetric tables once per stem of their own.
+    real_sums, real_scan = enumeration._stem_sums, enumeration._scan
     folds = []
+    census = []  # whether each running scan is a census's
 
     def stem_sums(*args):
-        folds.append(args[:3] + args[4:5])
-        return real(*args)
+        if census[-1]:
+            folds.append(args[:3] + args[4:5])
+        return real_sums(*args)
+
+    def scan(n, weavable_mode, first, pairs, stems, emit, memo=None):
+        census.append(memo is not None)
+        try:
+            return real_scan(n, weavable_mode, first, pairs, stems, emit, memo)
+        finally:
+            census.pop()
 
     monkeypatch.setattr(enumeration, "_stem_sums", stem_sums)
-    weavable_mode = mode == INTERWEAVINGS
+    monkeypatch.setattr(enumeration, "_scan", scan)
     for n in (4, 5):
         cfg = EnumConfig(n, mode)
-        _census_loop(cfg, lambda *a: None)
         for wanted in ("mirror", "rotation"):
             _census_loop(cfg, wanted=wanted)
         assert not folds
         prefixes = _prefixes(n, mode)
         summed = 0
-        for p, ((first, second), later) in enumerate(prefixes):
-            _census_loop(replace(cfg, shard=Shard(p, len(prefixes))))
-            assert len(set(folds)) == len(folds), (n, p)
-            summed += len(folds)
+        for p in range(len(prefixes)):
+            shard = replace(cfg, shard=Shard(p, len(prefixes)))
+            _census_loop(shard)
+            counted = folds[:]
+            assert len(set(counted)) == len(counted), (n, p)
+            summed += len(counted)
             folds.clear()
-            dead, alive, anchored, turns = _prefix_pairs(first, second, n)
-            for stem, xs in _census_stems(first, second, later, n):
-                scan = _stem_scan(stem, xs, first, anchored, turns, n)
-                rejects, stem_dead, entries = scan
-                top = (1 << n) - 1
-                fold = reduce(or_, stem), reduce(and_, stem), not first or top in stem
-                sums, per_x = real(
-                    *fold, xs, dead | stem_dead, alive, n, weavable_mode
-                )
-                # Every head counts its fitting rows, a rejected one too.
-                body = _scan(n, weavable_mode, first, second, [(stem, xs)], None)
-                assert sums[0] == body[0] or not weavable_mode, stem
-                kept = {x: xs[x] for x in xs if not rejects >> x & 1}
-                quiet = {x: kept.pop(x) for x in xs if x in kept and x not in entries}
-                sums = real(*fold, quiet, dead | stem_dead, alive, n, weavable_mode)[0]
-                body = _scan(n, weavable_mode, first, second, [(stem, quiet)], None)
-                assert sums[1:] + (0,) == body[1:], stem
-                assert sums[0] == body[0] or not weavable_mode, stem
-                # The decided heads on which no pair ties: the memo's
-                # classes less their entries' rejects.
-                untied = {x: pool for x, pool in kept.items() if len(entries[x]) == 1}
-                body = _scan(n, weavable_mode, first, second, [(stem, untied)], None)
-                classes = weavable = 0
-                for x in untied:
-                    c, v = per_x[x]
-                    classes += (c & ~entries[x][0]).bit_count()
-                    weavable += (v & ~entries[x][0]).bit_count()
-                assert (classes, weavable, 0) == body[1:], stem
+            _census_loop(shard, lambda *a: None)
+            assert folds == counted, (n, p)
+            folds.clear()
         assert summed == STEM_SUMS[n, mode]
 
 
