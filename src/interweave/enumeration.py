@@ -134,16 +134,18 @@ and adds up the reports, without sorting or comparing anything.  Memory
 follows the largest prefix block, not the whole listing.  Progress, the
 merge and a failed prefix take one path with or without a pool.
 
-The census loop, :func:`_census_loop`, hands on each head's classes at
-once: the head's row words, bitsets over the last row for the classes
-and the weavable ones, and the few orbit sizes below n**2.  A prefix
-task writes a head's lines from a template, the lines of its weavable
-bitset with a NUL where the head's words go, built once per bitset and
-task: at order 5 the 46 637 heads that list a class share 2 031
-templates, at most 40 per prefix.  So the listing builds no
-``BitMatrix`` and no ``ClassRecord``; only :func:`enumerate_classes`,
-the library's record stream, walks the bits and wraps each class in a
-record.
+The census loop, :func:`_census_loop`, hands on a stem's classes at
+once: the stem's row words and, for each of its heads with a class, the
+row n - 2, bitsets over the last row for the classes and the weavable
+ones, and the few orbit sizes below n**2.  A prefix task joins the
+stem's words once and writes each head's lines from a template, the
+lines of its weavable bitset with a NUL where the head's words go,
+built once per bitset and task, and it writes the stem's lines in one
+call: at order 5 the listing takes 2 123 stems, whose 46 637 heads that
+list a class share 2 031 templates, at most 40 per prefix.  So the
+listing builds no ``BitMatrix`` and no ``ClassRecord``; only
+:func:`enumerate_classes`, the library's record stream, walks the bits
+and wraps each class in a record.
 """
 
 from __future__ import annotations
@@ -468,8 +470,10 @@ def _filer(found):
     ORed over the prefixes that share the head: at order 2 the head is
     the first row alone."""
 
-    def emit(head, classes, weavable, orbits):
-        found[head] = found.get(head, 0) | weavable
+    def emit(stem, heads):
+        for x, classes, weavable, orbits in heads:
+            head = stem + (x,)
+            found[head] = found.get(head, 0) | weavable
 
     return emit
 
@@ -482,8 +486,9 @@ def _scan(n, weavable_mode, first, pairs, stems, emit, memo=None):
     after them.  Returns ``(fitted, b_bar, q_bar, short)``: the tuples
     whose head's fold they complete (read in interweavings mode only),
     the classes, the weavable classes and how far the weavable classes'
-    orbits fall short of n**2, summed.  Each head with classes goes to
-    ``emit`` (if given).
+    orbits fall short of n**2, summed.  With ``emit`` given, each stem
+    that keeps a head with classes goes to it once, as ``(stem, heads)``
+    (see :func:`_census_loop`).
 
     Each stem is decided once by :func:`_stem_scan`, and its heads'
     classes come from :func:`_stem_sums`: from ``memo`` by stem fold and
@@ -493,7 +498,8 @@ def _scan(n, weavable_mode, first, pairs, stems, emit, memo=None):
     only its fitting rows.  A head's stabilizer is 1 plus its entry's
     pairs that fix a class, so the body runs only for orbits and
     ``emit``: over the x on which a pair ties, and with ``emit`` over
-    every x the stem does not reject.
+    every x the stem does not reject, gathering the stem's heads for one
+    call.  A count builds no heads.
     """
     top = (1 << n) - 1
     words = range(1 << n)
@@ -537,21 +543,25 @@ def _scan(n, weavable_mode, first, pairs, stems, emit, memo=None):
                     tied.append(x)
         b_bar += classes
         q_bar += weavable
+        heads = []
         for x in (tied if emit is None else xs):
             if rejects >> x & 1:
                 continue
             c, v = quiet[x]
-            entry = entries.get(x, (0,))
-            c &= ~entry[0]
-            v &= ~entry[0]
             orbits = {}
-            if len(entry) > 1:  # stabilizer 1 and the pairs that fix w
-                fixed = [_select(words, tie & c) for tie in entry[1:]]
-                stabs = Counter(itertools.chain(*fixed))
-                orbits = {w: nn // (1 + stab) for w, stab in stabs.items()}
-                short += sum(nn - size for w, size in orbits.items() if v >> w & 1)
-            if emit is not None and c:
-                emit(stem + (x,), c, v, orbits)
+            entry = entries.get(x)
+            if entry is not None:
+                c &= ~entry[0]
+                v &= ~entry[0]
+                if len(entry) > 1:  # stabilizer 1 and the pairs that fix w
+                    fixed = [_select(words, tie & c) for tie in entry[1:]]
+                    stabs = Counter(itertools.chain(*fixed))
+                    orbits = {w: nn // (1 + stab) for w, stab in stabs.items()}
+                    short += sum(nn - size for w, size in orbits.items() if v >> w & 1)
+            if c and emit is not None:
+                heads.append((x, c, v, orbits))
+        if heads:
+            emit(stem, heads)
     return fitted, b_bar, q_bar, short
 
 
@@ -572,16 +582,19 @@ def _census_loop(
     progress: Optional[Callable[[int], None]] = None,
     wanted: str = "all",
 ) -> CountReport:
-    """The census of this shard's slice, handing the classes of each head
-    that has any to ``emit`` as ``(head, classes, weavable, orbits)``.
+    """The census of this shard's slice, handing the classes of each stem
+    that has any to ``emit`` as ``(stem, heads)``, one call per stem.
 
-    ``head`` is the first n - 1 row words.  The next two are bitsets over
-    the last row word w, bit w standing for the class whose canonical
-    row-word tuple is ``head + (w,)``: the classes, and those among them
-    that are weavable.  ``orbits`` maps the few classes whose orbit is
-    smaller than n**2 to their orbit size, by last row word.  Heads come
-    in lexicographic order, so the classes do, taking each head's bits
-    in ascending order; none are accumulated here.  In ``interweavings``
+    ``stem`` is the first n - 2 row words, and ``heads`` holds the heads
+    ``stem + (x,)`` that have a class, as ``(x, classes, weavable,
+    orbits)`` in ascending x.  The middle two are bitsets over the last
+    row word w, bit w standing for the class whose canonical row-word
+    tuple is ``stem + (x, w)``: the classes, and those among them that
+    are weavable.  ``orbits`` maps the few classes whose orbit is
+    smaller than n**2 to their orbit size, by last row word, and is
+    empty unless a pair ties on the head.  Stems come in lexicographic
+    order, so the classes do, taking each head's bits in ascending
+    order; none are accumulated here.  In ``interweavings``
     mode only weavable classes are generated; in ``all`` mode every
     class is.  ``progress`` (if given) receives the running candidate
     count after each (first, second) row prefix.
@@ -694,19 +707,21 @@ def enumerate_classes(
         for name, found in zip(_KERNELS, flags):
             _census_loop(cfg, _filer(found), wanted=name)
 
-        def emit(head, classes, weavable, orbits):
-            mirror, rotation = (found.get(head, 0) for found in flags)
-            for w in _select(range(1 << cfg.n), classes):
-                bit = 1 << w
-                sink(
-                    ClassRecord(
-                        BitMatrix._unchecked(head + (w,)),
-                        orbits.get(w, nn),
-                        bool(weavable & bit),
-                        bool(mirror & bit),
-                        bool(rotation & bit),
+        def emit(stem, heads):
+            for x, classes, weavable, orbits in heads:
+                head = stem + (x,)
+                mirror, rotation = (found.get(head, 0) for found in flags)
+                for w in _select(range(1 << cfg.n), classes):
+                    bit = 1 << w
+                    sink(
+                        ClassRecord(
+                            BitMatrix._unchecked(head + (w,)),
+                            orbits.get(w, nn),
+                            bool(weavable & bit),
+                            bool(mirror & bit),
+                            bool(rotation & bit),
+                        )
                     )
-                )
 
     return _census_loop(cfg, emit, progress)
 
@@ -778,12 +793,15 @@ def _prefix_worker(task):
     its listing block: one tuple line per class listed under the list
     filter ``wanted``, or nothing when ``wanted`` is None.
 
-    A head's lines differ only in their last words, picked by its
-    weavable bitset, and a prefix's heads share few such bitsets.  So
-    the lines of a bitset are written once, as a template whose lines
-    each start with a NUL, and each head's lines are its template with
-    the NULs replaced by the head's words.  The templates are kept by
-    bitset for the task and dropped with it.
+    The census loop hands on a stem at a time (:func:`_census_loop`), so
+    the stem's words are joined once.  A head's lines differ only in
+    their last words, picked by its weavable bitset, and a prefix's
+    heads share few such bitsets.  So the lines of a bitset are written
+    once, as a template whose lines each start with a NUL, and each
+    head's lines are its template with the NULs replaced by the stem's
+    words and its row n - 2.  The stem's lines go to the block in one
+    write.  The templates are kept by bitset for the task and dropped
+    with it.
     """
     cfg, wanted = task
     if wanted is None:
@@ -795,12 +813,16 @@ def _prefix_worker(task):
     ends = [f"\0{w}\n" for w in range(1 << cfg.n)]
     templates = {}  # weavable bitset -> its lines, each after a NUL
 
-    def emit(head, classes, weavable, *rest):
-        if weavable:
-            template = templates.get(weavable)
-            if template is None:
-                template = templates[weavable] = "".join(_select(ends, weavable))
-            block.write(template.replace("\0", "".join([words[w] for w in head])))
+    def emit(stem, heads):
+        text = "".join([words[w] for w in stem])
+        lines = []
+        for x, classes, weavable, orbits in heads:
+            if weavable:
+                template = templates.get(weavable)
+                if template is None:
+                    template = templates[weavable] = "".join(_select(ends, weavable))
+                lines.append(template.replace("\0", text + words[x]))
+        block.write("".join(lines))
 
     return _census_loop(cfg, emit, wanted=wanted), block.getvalue()
 
@@ -856,14 +878,16 @@ def _run_shards(
     each prefix's block and adds up its report in prefix order, and a
     task that fails, or whose worker dies, raises ``_PrefixError``
     naming its prefix.  The report's ``elapsed`` is the parent's wall
-    time.  ``jobs`` below 1, or a ``wanted`` that is neither None nor
-    one of ``LIST_FILTERS``, raises ``ValueError`` before any prefix
-    runs.
+    time.  ``jobs`` below 1, a ``wanted`` that is neither None nor one
+    of ``LIST_FILTERS``, or a ``wanted`` with no ``out``, raises
+    ``ValueError`` before any prefix runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     if wanted not in (None, *LIST_FILTERS):
         raise ValueError(f"list filter must be one of {LIST_FILTERS}, got {wanted!r}")
+    if wanted is not None and out is None:
+        raise ValueError(f"a listing needs a text stream to write to, got out={out!r}")
     started = time.perf_counter()
     index, total = cfg.shard
     prefixes = _prefixes(cfg.n, cfg.mode)

@@ -110,8 +110,8 @@ def verify_table(
         for key in ("q_count", "q_bar", "m_bar", "r_bar"):
             compare(n, key, "enumerated", getattr(report, key))
         # Every b_bar gets two methods, enumeration and the exact
-        # Burnside value; the order-5 all-classes census takes about
-        # 0.6 CPU s.
+        # Burnside value; the order-5 all-classes census takes under
+        # 0.1 CPU s.
         all_report = _run_shards(EnumConfig(n, ALL), jobs)
         compare(n, "b_bar", "enumerated", all_report.b_bar)
         compare(n, "b_bar", "burnside", burnside_b_bar(n))

@@ -270,8 +270,9 @@ def test_last_row_bits_on_every_generated_shape(n):
                 seen["row"] += sum(rejects >> x & 1 for x in xs)
                 found = {}
 
-                def emit(head, classes, weavable, orbits):
-                    found[head] = classes, orbits
+                def emit(stem, heads):
+                    for x, classes, weavable, orbits in heads:
+                        found[stem + (x,)] = classes, orbits
 
                 _scan(n, False, first, pairs, [(stem, xs)], emit)
                 for x, pool in xs.items():
@@ -392,6 +393,39 @@ def test_order5_sends_few_heads_to_the_last_row_bits(monkeypatch):
         assert (report.q_bar, report.rejected_minimality) == (705366, 309559)
         body = 30 if emit is None else 0
         assert calls == {"stem": 2480, "heads": 55701, "decided": 7838, "body": body}
+
+
+def test_order5_listing_emits_once_per_stem(monkeypatch):
+    # A listing takes the loop's classes a stem at a time: the order-5
+    # census listing makes 2 123 emit calls, one per stem that keeps a
+    # head with a class, carrying those 46 637 heads.  Stems come in
+    # lexicographic order, each once, and a stem's heads in ascending
+    # row n - 2.  A count makes no emit call.
+    real = enumeration._scan
+    calls = []
+
+    def scan(n, weavable_mode, first, pairs, stems, emit, memo=None):
+        if emit is not None:
+            inner = emit
+
+            def emit(stem, heads):
+                calls.append((stem, [(x, classes) for x, classes, *_ in heads]))
+                inner(stem, heads)
+
+        return real(n, weavable_mode, first, pairs, stems, emit, memo)
+
+    monkeypatch.setattr(enumeration, "_scan", scan)
+    _run_shards(EnumConfig(5))
+    assert calls == []
+    _run_shards(EnumConfig(5), wanted="all", out=io.StringIO())
+    assert len(calls) == 2123
+    assert sum(len(heads) for _, heads in calls) == 46637
+    stems = [stem for stem, _ in calls]
+    assert all(a < b for a, b in zip(stems, stems[1:]))
+    for stem, heads in calls:
+        xs = [x for x, _ in heads]
+        assert xs == sorted(set(xs)), stem
+        assert all(classes for _, classes in heads), stem
 
 
 def test_order6_prefixes_match_brute_force():
@@ -1334,6 +1368,18 @@ def test_list_filter_is_checked_before_any_prefix_runs(jobs, monkeypatch):
         _run_shards(EnumConfig(3), jobs, "bogus", io.StringIO())
     with pytest.raises(ValueError, match=f"list filter must be one of {names}"):
         enumerate_sharded(3, jobs=jobs, collect="bogus")
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_listing_without_out_is_refused_before_any_prefix_runs(jobs, monkeypatch):
+    # A listing with nowhere to write would fail only at its first block.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a prefix ran")
+
+    monkeypatch.setattr(enumeration, "_census_loop", refuse)
+    for wanted in LIST_FILTERS:
+        with pytest.raises(ValueError, match="a listing needs a text stream"):
+            _run_shards(EnumConfig(3), jobs, wanted)
 
 
 @pytest.mark.parametrize("shards", (0, -1))
