@@ -287,10 +287,10 @@ def main(argv=None) -> int:
     except (MatrixParseError, ValueError, OSError, _PrefixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, _PrefixError):
-            # Imported here, like the pool: only a failed run needs it.
+            # Imported here: only a failed run needs it.
             import traceback
 
-            # The cause's own chain holds a pool worker's traceback.
+            # The cause's own chain holds a worker's traceback.
             cause = exc.__cause__
             traceback.print_exception(
                 type(cause), cause, cause.__traceback__, file=sys.stderr

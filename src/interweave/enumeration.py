@@ -127,12 +127,13 @@ with no shared state.
 The prefix is also the unit of every run.  :func:`_run_shards` runs
 each prefix of its shard as one task, shard p of P where P is the prefix
 count, which returns the prefix's report and its listing block.  With
-one job the tasks run in this process; with more they run on a process
-pool.  The classes of one prefix form one contiguous run of the sorted
-listing, so the driver writes the blocks in prefix order as they arrive
-and adds up the reports, without sorting or comparing anything.  Memory
-follows the largest prefix block, not the whole listing.  Progress, the
-merge and a failed prefix take one path with or without a pool.
+one job the tasks run in this process; with more they run on forked
+workers that take task indices from a pipe.  The classes of one prefix
+form one contiguous run of the sorted listing, so the driver writes the
+blocks in prefix order as they arrive and adds up the reports, without
+sorting or comparing anything.  Memory follows the largest prefix
+block, not the whole listing.  Progress, the merge and a failed prefix
+take one path with or without workers.
 
 The census loop, :func:`_census_loop`, hands on a stem's classes at
 once: the stem's row words and, for each of its heads with a class, the
@@ -154,7 +155,7 @@ import io
 import itertools
 import os
 import time
-from collections import Counter, deque
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -784,7 +785,7 @@ def merge_reports(a: CountReport, b: CountReport) -> CountReport:
 
 
 class _PrefixError(RuntimeError):
-    """A prefix task failed, in this process or in a pool worker; names
+    """A prefix task failed, in this process or in a worker; names
     its prefix and chains the cause."""
 
 
@@ -831,30 +832,23 @@ def _prefix_results(jobs: int, tasks: list):
     """``_prefix_worker``'s results over ``tasks``, in order.
 
     The builtin ``map`` runs the tasks in this process, unless ``jobs``
-    workers can take two or more of them at once: then a pool of at most
-    ``jobs`` processes runs them.  The pool starts on the first ``next``,
-    so a pool that breaks while tasks are still being handed out fails
-    there like any task.  At most ``2 * jobs`` tasks are handed out and
-    not yet taken, so finished blocks wait in the parent only that many
-    at a time.  Closing the generator cancels the tasks not yet started.
+    workers can take two or more of them at once and ``os.fork`` exists:
+    then :func:`interweave.workers.ordered_map` runs them on at most
+    ``jobs`` forked workers, which inherit the tasks.  The workers start
+    on the first ``next``.  At most ``2 * jobs`` tasks are handed out
+    and not yet taken, so finished blocks wait in the parent only that
+    many at a time.  A failed task raises in its turn, with the worker's
+    traceback as its cause; a dead worker fails the first task in order
+    without a result.  Closing the generator kills and reaps the
+    workers, so no task starts after it.
     """
-    if jobs < 2 or len(tasks) < 2:
+    if jobs < 2 or len(tasks) < 2 or not hasattr(os, "fork"):
         yield from map(_prefix_worker, tasks)
         return
-    # Imported here: the pool machinery would slow every CLI start.
-    from concurrent.futures import ProcessPoolExecutor
+    # Imported here: a one-process run neither compiles nor needs it.
+    from .workers import ordered_map
 
-    pool = ProcessPoolExecutor(min(jobs, len(tasks)))
-    queued = deque()
-    try:
-        for task in tasks:
-            queued.append(pool.submit(_prefix_worker, task))
-            if len(queued) == 2 * jobs:
-                yield queued.popleft().result()
-        while queued:
-            yield queued.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    yield from ordered_map(_prefix_worker, tasks, jobs)
 
 
 def _run_shards(
@@ -873,14 +867,15 @@ def _run_shards(
     prefix with the running candidate count.
 
     Each prefix p of the shard is one task, run as shard p of P, where P
-    is the prefix count, in this process or on a pool of at most ``jobs``
+    is the prefix count, in this process or on at most ``jobs`` forked
     workers (see :func:`_prefix_results`).  Either way the parent writes
     each prefix's block and adds up its report in prefix order, and a
     task that fails, or whose worker dies, raises ``_PrefixError``
-    naming its prefix.  The report's ``elapsed`` is the parent's wall
-    time.  ``jobs`` below 1, a ``wanted`` that is neither None nor one
-    of ``LIST_FILTERS``, or a ``wanted`` with no ``out``, raises
-    ``ValueError`` before any prefix runs.
+    naming its prefix.  No worker outlives the call, however it ends.
+    The report's ``elapsed`` is the parent's wall time.  ``jobs`` below
+    1, a ``wanted`` that is neither None nor one of ``LIST_FILTERS``, or
+    a ``wanted`` with no ``out``, raises ``ValueError`` before any
+    prefix runs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
@@ -937,12 +932,12 @@ def enumerate_sharded(
     ``ValueError``, as do ``shards`` below 1 and a ``collect`` that is
     neither None nor one of ``LIST_FILTERS``.  The run goes prefix by
     prefix through :func:`_run_shards`: in this process with one job, on
-    a process pool with more.  Returns ``(report, rows)`` where ``rows`` is the
-    lexicographically sorted list of canonical row tuples listed under
-    the list filter ``collect``, read back from the streamed listing, or
-    None when ``collect`` is None.  With ``collect`` ``"mirror"`` or
-    ``"rotation"`` the run walks the symmetric tables, not the census,
-    and the report counts the listed classes only (see
+    forked workers with more.  Returns ``(report, rows)`` where ``rows``
+    is the lexicographically sorted list of canonical row tuples listed
+    under the list filter ``collect``, read back from the streamed
+    listing, or None when ``collect`` is None.  With ``collect``
+    ``"mirror"`` or ``"rotation"`` the run walks the symmetric tables,
+    not the census, and the report counts the listed classes only (see
     :class:`CountReport`).
     """
     if shards < 1:

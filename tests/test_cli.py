@@ -192,6 +192,28 @@ def test_failing_worker_exits_2_naming_its_prefix(capsys, monkeypatch, argv, n):
     assert ", in failing\n" in rest
 
 
+def test_unpicklable_worker_exception_exits_2_with_its_traceback(capsys, monkeypatch):
+    # An exception holding a lambda cannot be pickled back to the parent;
+    # its repr and the worker's traceback come back in its place.
+    real = enumeration._census_loop
+
+    def failing(cfg, *args, **kwargs):
+        if cfg.shard.index == 1:
+            raise RuntimeError("worker failed", lambda: None)
+        return real(cfg, *args, **kwargs)
+
+    # Pool workers are forked, so they inherit the patched function.
+    monkeypatch.setattr(enumeration, "_census_loop", failing)
+    code, out, err = run(capsys, "count", "--n", "3", "--jobs", "2")
+    assert code == 2
+    assert out == ""
+    first, rest = err.split("\n", 1)
+    assert first.startswith("error: prefix 1 (1 2) of order 3 failed: RuntimeError(")
+    assert "'worker failed', <function " in first
+    assert "\nRuntimeError: ('worker failed', <function " in rest
+    assert ", in failing\n" in rest
+
+
 @pytest.mark.parametrize("jobs", ((), ("--jobs", "2")), ids=("in-process", "jobs2"))
 @pytest.mark.parametrize(
     "argv",
@@ -252,13 +274,14 @@ runs = (["count", "--n", "4"], ["list", "--n", "4"], ["verify", "--n-max", "3"])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv + extra) for argv in runs]
 assert codes == [0, 0, 0], codes
-print(*(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+pool = ("concurrent.futures", "multiprocessing", "interweave.workers")
+print(*(m for m in pool if m in sys.modules))
 """
 
 
 @pytest.mark.parametrize(
     "jobs, imported",
-    (((), ""), (("--jobs", "2"), "concurrent.futures multiprocessing")),
+    (((), ""), (("--jobs", "2"), "interweave.workers")),
     ids=("in-process", "jobs2"),
 )
 def test_in_process_runs_import_no_pool_machinery(jobs, imported):

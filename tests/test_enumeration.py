@@ -8,8 +8,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from functools import partial, reduce
 from operator import and_, or_
@@ -1191,8 +1189,7 @@ _PREFIX_WORKER = enumeration._prefix_worker
 
 
 def _logged_prefix_task(log, task):
-    """Run one prefix task after appending its prefix index to ``log``.
-    Defined here, not in a test, so that a pool can pickle it."""
+    """Run one prefix task after appending its prefix index to ``log``."""
     with open(log, "a") as handle:
         handle.write(f"{task[0].shard.index}\n")
     return _PREFIX_WORKER(task)
@@ -1238,20 +1235,60 @@ def test_pool_hands_out_at_most_two_prefixes_per_job_ahead(tmp_path, monkeypatch
     assert max(ahead) <= 4
 
 
+def _dying_prefix_task(task):
+    """Kill the worker that takes a prefix task, before any result."""
+    os._exit(1)
+
+
 def test_pool_broken_while_handing_out_tasks_names_a_prefix(monkeypatch):
-    # A worker can die before the parent has handed out every task; the
-    # pool then refuses the next one, and that must name a prefix too.
-    real = ProcessPoolExecutor.submit
-    calls = itertools.count()
-
-    def submit(self, *args, **kwargs):
-        if next(calls) == 2:
-            raise BrokenProcessPool("A child process terminated abruptly")
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    # Every worker dies on its first task while tasks are still left to
+    # hand out; the first prefix in order without a result is named.
+    monkeypatch.setattr(enumeration, "_prefix_worker", _dying_prefix_task)
     with pytest.raises(_PrefixError, match=r"^prefix 0 \(1 1\) of order 3 "):
         _run_shards(EnumConfig(3, INTERWEAVINGS), 2)
+
+
+def _no_child_left():
+    """True when this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _failing_prefix_task(task):
+    """Fail on global prefix 1, run every other prefix task."""
+    if task[0].shard.index == 1:
+        raise RuntimeError("prefix 1 failed")
+    return _PREFIX_WORKER(task)
+
+
+def test_no_worker_outlives_the_run(monkeypatch):
+    # However a pooled run ends, every worker is gone when it returns or
+    # raises: a finished run, a failing prefix, a worker that exits, and
+    # a failed write.
+    cfg = EnumConfig(4, INTERWEAVINGS)
+    assert _no_child_left()
+    assert _run_shards(cfg, 2).q_bar == 1446
+    assert _no_child_left()
+    monkeypatch.setattr(enumeration, "_prefix_worker", _failing_prefix_task)
+    with pytest.raises(_PrefixError, match="prefix 1 failed"):
+        _run_shards(cfg, 2)
+    assert _no_child_left()
+    monkeypatch.setattr(enumeration, "_prefix_worker", _dying_prefix_task)
+    with pytest.raises(_PrefixError, match=r"^prefix 0 "):
+        _run_shards(cfg, 2, "all", io.StringIO())
+    assert _no_child_left()
+    monkeypatch.undo()
+
+    class BrokenOut:
+        def write(self, text):
+            raise BrokenPipeError("reader went away")
+
+    with pytest.raises(BrokenPipeError):
+        _run_shards(cfg, 2, "all", BrokenOut())
+    assert _no_child_left()
 
 
 # The reference for a listing: each list filter's test on a record.
