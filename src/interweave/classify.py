@@ -42,8 +42,7 @@ reports them as False.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bitmatrix import BitMatrix
 from .transforms import reverse_words, rotate90_words, rotate_words
@@ -53,8 +52,7 @@ class NotInterweavingError(ValueError):
     """Predicate evaluated on a matrix with a one-colour row or column."""
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """One shift class: canonical representative, size, predicate flags."""
 
     canonical: BitMatrix

@@ -157,7 +157,6 @@ import os
 import time
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import and_, or_
@@ -192,33 +191,37 @@ class Shard(NamedTuple):
     total: int = 1
 
 
-@dataclass(frozen=True)
-class EnumConfig:
+class _EnumFields(NamedTuple):
+    n: int
+    mode: str
+    shard: Shard
+    limit_override: bool
+
+
+class EnumConfig(_EnumFields):
     """Enumeration parameters: order, mode, shard slot, size guard."""
 
-    n: int
-    mode: str = INTERWEAVINGS
-    shard: Shard = Shard()
-    limit_override: bool = False
+    __slots__ = ()
+    # Every build checks: _replace goes through _make, unpickling through __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if not 2 <= self.n <= MAX_ENUM_ORDER:
-            raise ValueError(f"order must be in [2, {MAX_ENUM_ORDER}], got {self.n}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        shard = Shard(*self.shard)
+    def __new__(cls, n, mode=INTERWEAVINGS, shard=Shard(), limit_override=False):
+        if not 2 <= n <= MAX_ENUM_ORDER:
+            raise ValueError(f"order must be in [2, {MAX_ENUM_ORDER}], got {n}")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        shard = Shard(*shard)
         if shard.total < 1 or not 0 <= shard.index < shard.total:
             raise ValueError(f"invalid shard {shard.index}/{shard.total}")
-        object.__setattr__(self, "shard", shard)
-        if self.n >= OVERRIDE_ORDER and not self.limit_override:
+        if n >= OVERRIDE_ORDER and not limit_override:
             raise ValueError(
-                f"order {self.n} enumeration must be asked for explicitly; "
+                f"order {n} enumeration must be asked for explicitly; "
                 "pass limit_override to run it"
             )
+        return super().__new__(cls, n, mode, shard, limit_override)
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Census of one run (or merged shards) for a single order.
 
     ``q_count`` counts weavable matrices (the sum of orbit sizes over
@@ -887,7 +890,7 @@ def _run_shards(
     index, total = cfg.shard
     prefixes = _prefixes(cfg.n, cfg.mode)
     picked = range(index, len(prefixes), total)
-    tasks = [(replace(cfg, shard=Shard(p, len(prefixes))), wanted) for p in picked]
+    tasks = [(cfg._replace(shard=Shard(p, len(prefixes))), wanted) for p in picked]
     # Zero counts, labelled as none of the P prefixes.
     merged = CountReport(
         cfg.n, cfg.mode, 0, 0, 0, 0, 0 if cfg.mode == ALL else None, 0, 0.0,
@@ -909,8 +912,7 @@ def _run_shards(
             merged = merge_reports(merged, report)
             if progress is not None:
                 progress(cfg.shard, merged.candidates_examined)
-    return replace(
-        merged,
+    return merged._replace(
         elapsed=time.perf_counter() - started,
         shard_total=total,
         shard_indices=frozenset({index}),
@@ -946,10 +948,8 @@ def enumerate_sharded(
         jobs = min(shards, os.cpu_count() or 1)
     cfg = EnumConfig(n, mode, limit_override=limit_override)
     listing = None if collect is None else io.StringIO()
-    report = replace(
-        _run_shards(cfg, jobs, collect, listing),
-        shard_total=shards,
-        shard_indices=frozenset(range(shards)),
+    report = _run_shards(cfg, jobs, collect, listing)._replace(
+        shard_total=shards, shard_indices=frozenset(range(shards))
     )
     if listing is None:
         return report, None

@@ -31,36 +31,48 @@ def format_grid(a: BitMatrix) -> str:
 
 
 def parse_tuple(text: str) -> BitMatrix:
-    """Parse the tuple form; the order is the number of words given."""
+    """Parse the tuple form; the order is the number of words given.
+
+    A word is plain ASCII decimal digits: no sign, underscore or other
+    digit that ``int`` would take.
+    """
     tokens = text.split()
     if not tokens:
         raise MatrixParseError("line 1: no row words found")
-    words = []
-    for pos, token in enumerate(tokens, start=1):
-        try:
-            word = int(token)
-        except ValueError:
-            raise MatrixParseError(
-                f"line 1: word {pos} ({token!r}) is not a decimal integer"
-            ) from None
-        if word < 0:
-            raise MatrixParseError(f"line 1: word {pos} ({token!r}) is negative")
-        words.append(word)
+    # The words are checked in one pass over their digits; only a text
+    # that fails is searched for its first bad word.
+    digits = "".join(tokens)
+    if not (digits.isascii() and digits.isdigit()):
+        for pos, token in enumerate(tokens, start=1):
+            if not (token.isascii() and token.isdigit()):
+                # A minus sign before a nonzero word.
+                unsigned = token[1:] if token[0] == "-" else ""
+                if unsigned.isascii() and unsigned.isdigit() and unsigned.strip("0"):
+                    raise MatrixParseError(
+                        f"line 1: word {pos} ({token!r}) is negative"
+                    )
+                raise MatrixParseError(
+                    f"line 1: word {pos} ({token!r}) is not a decimal integer"
+                )
     try:
-        return BitMatrix(words)
+        return BitMatrix(map(int, tokens))
     except ValueError as exc:
         raise MatrixParseError(f"line 1: {exc}") from None
 
 
 def parse_grid(text: str) -> BitMatrix:
-    """Parse the grid form; must be square with only '0'/'1' cells."""
-    lines = [line for line in text.splitlines() if line.strip()]
+    """Parse the grid form; must be square with only '0'/'1' cells.
+
+    Blank lines are skipped, and a diagnostic names the line of the
+    input it is about.
+    """
+    numbered = enumerate(text.splitlines(), start=1)
+    lines = [(lineno, row) for lineno, line in numbered if (row := line.strip())]
     if not lines:
         raise MatrixParseError("line 1: no grid rows found")
     n = len(lines)
     grid = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
+    for lineno, line in lines:
         bad = next((c for c in line if c not in "01"), None)
         if bad is not None:
             raise MatrixParseError(f"line {lineno}: invalid character {bad!r}")
@@ -72,7 +84,8 @@ def parse_grid(text: str) -> BitMatrix:
     try:
         return BitMatrix.from_bits(grid)
     except ValueError as exc:
-        raise MatrixParseError(f"line 1: {exc}") from None
+        # The order is the grid's, placed on its first row.
+        raise MatrixParseError(f"line {lines[0][0]}: {exc}") from None
 
 
 def parse_matrix(text: str) -> BitMatrix:

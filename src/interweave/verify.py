@@ -3,9 +3,7 @@ against them, by enumeration and by the Burnside formula."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib.resources import files
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .enumeration import ALL, INTERWEAVINGS, EnumConfig, _run_shards, burnside_b_bar
 
@@ -23,6 +21,9 @@ def load_expected(path: Optional[str] = None) -> dict:
     ``ValueError`` naming its file and line.
     """
     if path is None:
+        # Imported here, its one user, so start-up does not load it.
+        from importlib.resources import files
+
         text = files("interweave").joinpath(EXPECTED_DATA).read_text()
         source = EXPECTED_DATA
     else:
@@ -59,8 +60,7 @@ def load_expected(path: Optional[str] = None) -> dict:
     return expected
 
 
-@dataclass(frozen=True)
-class VerifyCell:
+class VerifyCell(NamedTuple):
     """One compared census cell: expected vs computed, with the method."""
 
     n: int

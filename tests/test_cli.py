@@ -297,6 +297,27 @@ def test_in_process_runs_import_no_pool_machinery(jobs, imported):
     assert proc.stdout.strip() == imported
 
 
+# Start-up cost: the records are NamedTuples, not dataclasses (which load
+# inspect), and only load_expected reads package data.
+STARTUP_FREE_OF = ("dataclasses", "inspect", "importlib.resources")
+
+
+def test_import_loads_no_dataclasses_inspect_or_resources():
+    src = os.path.dirname(os.path.dirname(enumeration.__file__))
+    code = "import sys, interweave.cli; print(*set(sys.argv[1:]) & set(sys.modules))"
+    proc = subprocess.run(
+        # -S: without site, whose own imports (certifi's among them on
+        # some hosts) would hide the package's.
+        [sys.executable, "-S", "-c", code, *STARTUP_FREE_OF],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def test_bad_shard_spec_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["count", "--n", "3", "--shard", "nope"])

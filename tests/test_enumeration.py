@@ -3,12 +3,12 @@
 import io
 import itertools
 import os
+import pickle
 import re
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from functools import partial, reduce
 from operator import and_, or_
 
@@ -20,6 +20,7 @@ from interweave import (
     ALL,
     INTERWEAVINGS,
     BitMatrix,
+    CountReport,
     EnumConfig,
     Shard,
     VerifyCell,
@@ -101,6 +102,90 @@ def test_enumeration_is_capped_at_order_6():
     assert enumeration.MAX_ENUM_ORDER == 6
     with pytest.raises(ValueError, match=r"order must be in \[2, 6\], got 7"):
         EnumConfig(7, limit_override=True)
+
+
+# Each of the config's checks, a field change that fails it, and its
+# exact message.
+BAD_CONFIGS = (
+    ({"n": 1}, r"order must be in \[2, 6\], got 1"),
+    (
+        {"mode": "everything"},
+        r"mode must be one of \('interweavings', 'all'\), got 'everything'",
+    ),
+    ({"shard": (2, 2)}, r"invalid shard 2/2"),
+    ({"shard": Shard(0, 0)}, r"invalid shard 0/0"),
+    (
+        {"n": 6},
+        "order 6 enumeration must be asked for explicitly; "
+        "pass limit_override to run it",
+    ),
+)
+
+
+@pytest.mark.parametrize("build", ("constructor", "replace", "pickle"))
+@pytest.mark.parametrize("change, message", BAD_CONFIGS)
+def test_config_checks_hold_however_it_is_built(build, change, message):
+    fields = {**EnumConfig(3)._asdict(), **change}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        if build == "constructor":
+            EnumConfig(**fields)
+        elif build == "replace":
+            EnumConfig(3)._replace(**change)
+        else:
+            # A tuple made past the checks, as a forged pickle holds it.
+            forged = tuple.__new__(EnumConfig, fields.values())
+            pickle.loads(pickle.dumps(forged))
+
+
+def test_config_makes_its_shard_a_shard_however_it_is_built():
+    cfg = EnumConfig(3, shard=(1, 2))
+    replaced = EnumConfig(3)._replace(shard=[1, 2])
+    for built in (cfg, replaced, pickle.loads(pickle.dumps(cfg))):
+        assert built == cfg
+        assert type(built.shard) is Shard
+
+
+# One record of each kind, a field change, and the record's repr.
+RECORDS = (
+    (
+        EnumConfig(3, ALL, (1, 2)),
+        {"n": 4},
+        "EnumConfig(n=3, mode='all', shard=Shard(index=1, total=2), "
+        "limit_override=False)",
+    ),
+    (
+        CountReport(3, INTERWEAVINGS, 102, 14, 2, 2, None, 100, 0.5),
+        {"elapsed": 0.25},
+        "CountReport(n=3, mode='interweavings', q_count=102, q_bar=14, m_bar=2, "
+        "r_bar=2, b_bar=None, candidates_examined=100, elapsed=0.5, shard_total=1, "
+        "shard_indices=frozenset({0}), rejected_weavability=0, rejected_minimality=0)",
+    ),
+    (
+        classify(BitMatrix((1, 2))),
+        {"orbit_size": 4},
+        "ClassRecord(canonical=BitMatrix((1, 2)), orbit_size=2, "
+        "is_interweaving=True, self_mirror=True, rotation_stable=True)",
+    ),
+    (
+        VerifyCell(3, "q_bar", "enumerated", 14, 14),
+        {"actual": 15},
+        "VerifyCell(n=3, key='q_bar', method='enumerated', expected=14, actual=14)",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "record, change, text", RECORDS, ids=[type(r).__name__ for r, _, _ in RECORDS]
+)
+def test_records_are_frozen_values(record, change, text):
+    for name in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    twin = pickle.loads(pickle.dumps(record))
+    assert twin == record and twin is not record
+    assert hash(twin) == hash(record)
+    assert record._replace(**change) != record
+    assert repr(record) == text
 
 
 # -- census values ------------------------------------------------------------------
@@ -456,7 +541,7 @@ def test_order6_prefixes_match_brute_force():
                 expected.append(classify(a))
 
         records = []
-        shard = replace(cfg, shard=Shard(p, 384))
+        shard = cfg._replace(shard=Shard(p, 384))
         report = enumerate_classes(shard, records.append)
         assert records == expected, p
         assert report.candidates_examined == len(allowed) ** 4
@@ -521,8 +606,8 @@ def _assert_count_equals_scans(cfg):
     # A count runs only the tied heads through the body; any run with an
     # emit runs every head the stems keep.  Everything but the time must
     # agree.
-    count = replace(_census_loop(cfg), elapsed=0.0)
-    assert count == replace(_census_loop(cfg, lambda *a: None), elapsed=0.0), cfg
+    count = _census_loop(cfg)._replace(elapsed=0.0)
+    assert count == _census_loop(cfg, lambda *a: None)._replace(elapsed=0.0), cfg
 
 
 @pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
@@ -531,7 +616,7 @@ def test_count_of_each_prefix_equals_its_scans(n, mode):
     cfg = EnumConfig(n, mode)
     total = len(_prefixes(n, mode))
     for p in range(total):
-        _assert_count_equals_scans(replace(cfg, shard=Shard(p, total)))
+        _assert_count_equals_scans(cfg._replace(shard=Shard(p, total)))
 
 
 def test_count_of_quiet_order6_prefixes_equals_their_scans():
@@ -545,7 +630,7 @@ def test_count_of_quiet_order6_prefixes_equals_their_scans():
     ]
     assert len(quiet) == 9
     for p in quiet:
-        _assert_count_equals_scans(replace(cfg, shard=Shard(p, len(prefixes))))
+        _assert_count_equals_scans(cfg._replace(shard=Shard(p, len(prefixes))))
 
 
 @pytest.mark.parametrize("mode", (INTERWEAVINGS, ALL))
@@ -625,7 +710,7 @@ def test_count_sums_quiet_heads_by_stem_fold(monkeypatch, mode):
         prefixes = _prefixes(n, mode)
         summed = 0
         for p in range(len(prefixes)):
-            shard = replace(cfg, shard=Shard(p, len(prefixes)))
+            shard = cfg._replace(shard=Shard(p, len(prefixes)))
             _census_loop(shard)
             counted = folds[:]
             assert len(set(counted)) == len(counted), (n, p)
@@ -650,7 +735,7 @@ def test_phase_counts_add_up_in_count_list_and_walk_runs(mode):
         _assert_phase_counts_add_up(report, mode)
         assert report.rejected_minimality >= 0
         if wanted == "all":
-            assert replace(report, elapsed=0.0) == replace(count, elapsed=0.0)
+            assert report._replace(elapsed=0.0) == count._replace(elapsed=0.0)
 
 
 # -- symmetric-class tables -------------------------------------------------------
@@ -1311,9 +1396,9 @@ def test_prefix_driver_equals_enumerate_classes(n, mode, jobs):
         for index in range(total):
             cfg = EnumConfig(n, mode, shard=Shard(index, total))
             records = []
-            reference = replace(enumerate_classes(cfg, records.append), elapsed=0.0)
+            reference = enumerate_classes(cfg, records.append)._replace(elapsed=0.0)
             empty_shards += reference.candidates_examined == 0
-            assert replace(_run_shards(cfg, jobs), elapsed=0.0) == reference
+            assert _run_shards(cfg, jobs)._replace(elapsed=0.0) == reference
             for wanted in LIST_FILTERS:
                 out = io.StringIO()
                 report = _run_shards(cfg, jobs, wanted, out)
@@ -1322,7 +1407,7 @@ def test_prefix_driver_equals_enumerate_classes(n, mode, jobs):
                     format_tuple(rec.canonical) + "\n" for rec in listed
                 )
                 if wanted == "all":
-                    assert replace(report, elapsed=0.0) == reference
+                    assert report._replace(elapsed=0.0) == reference
                     continue
                 # A symmetric filter walks its table's heads: its report
                 # counts the classes it lists, not the whole census.

@@ -1,5 +1,7 @@
 """Matrix text forms and pattern renderings."""
 
+import re
+
 import pytest
 from hypothesis import given
 
@@ -70,6 +72,37 @@ def test_parse_grid_diagnostics():
 
 def test_parse_grid_skips_blank_lines():
     assert parse_grid("01\n\n10\n") == BitMatrix((1, 2))
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    (
+        ("\n01\n1x\n", 3),
+        ("01\n\n\n1x", 4),
+        ("\n\n010\n001\n10", 5),
+        ("\n\n" + "\n".join(["0" * 33] * 33), 3),
+    ),
+)
+def test_parse_grid_names_the_inputs_own_line(text, line):
+    with pytest.raises(MatrixParseError, match=f"^line {line}: "):
+        parse_grid(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    (
+        ("1_0 2 3 4", "line 1: word 1 ('1_0') is not a decimal integer"),
+        ("+1 2", "line 1: word 1 ('+1') is not a decimal integer"),
+        ("1 -0", "line 1: word 2 ('-0') is not a decimal integer"),
+        # A fullwidth 2 and an Arabic-Indic 3, which int() reads.
+        ("1 \uff12", "line 1: word 2 ('\uff12') is not a decimal integer"),
+        ("1 2 \u0663", "line 1: word 3 ('\u0663') is not a decimal integer"),
+        ("1 -2 4", "line 1: word 2 ('-2') is negative"),
+    ),
+)
+def test_parse_tuple_takes_plain_ascii_digits_only(text, message):
+    with pytest.raises(MatrixParseError, match=f"^{re.escape(message)}$"):
+        parse_tuple(text)
 
 
 def test_render_chart_example():
